@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/baseline/availability.h"
 #include "src/net/fault.h"
 #include "src/sim/cluster.h"
@@ -169,7 +170,7 @@ int main() {
   // host, staggered phases), read/write probes every 250ms from a
   // non-storing host. FICUS_BENCH_SMOKE=1 (CI) shrinks the sweep; the
   // emitted counts are exact and gated against bench/baselines.
-  const bool smoke = std::getenv("FICUS_BENCH_SMOKE") != nullptr;
+  const bool smoke = EnvFlag("FICUS_BENCH_SMOKE");
   const std::vector<size_t> host_counts =
       smoke ? std::vector<size_t>{10} : std::vector<size_t>{10, 50, 100};
   const int rounds = smoke ? 16 : 40;

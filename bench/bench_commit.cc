@@ -7,9 +7,10 @@
 // Section 7 names the fix — "putting a commit function into the storage
 // layer" — and this repo now has it: a block-remap commit riding a small
 // redo journal. The bench sweeps file size x dirty-block count x commit
-// mode (shadow forced vs delta) and reports device bytes written per
-// install. Shadow cost grows linearly with file size; delta cost tracks
-// the dirty set. A runtime-comparison section re-runs a 1-block edit
+// mode (shadow forced vs delta) and reports device bytes written and the
+// best-of-5 wall time per install. Shadow cost grows linearly with file
+// size; delta cost tracks the dirty set, and from 256 KiB up the delta
+// commit must also win in wall time. A runtime-comparison section re-runs a 1-block edit
 // end to end (notify + pull + commit) under both the deterministic and
 // threaded runtimes and checks the apply-side byte counts agree.
 #include <algorithm>
@@ -19,8 +20,10 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/repl/physical.h"
 #include "src/sim/cluster.h"
 #include "src/vfs/path_ops.h"
@@ -120,6 +123,19 @@ CommitRun MeasureInstall(bool delta, size_t size, int dirty) {
   return run;
 }
 
+// Wall time is the best of kInstallRepeats installs, each from a fresh
+// harness: the minimum is the run least disturbed by the host, and device
+// writes are identical in every repeat.
+constexpr int kInstallRepeats = 5;
+
+CommitRun BestInstall(bool delta, size_t size, int dirty) {
+  CommitRun best = MeasureInstall(delta, size, dirty);
+  for (int i = 1; i < kInstallRepeats; ++i) {
+    best.wall_us = std::min(best.wall_us, MeasureInstall(delta, size, dirty).wall_us);
+  }
+  return best;
+}
+
 struct ApplyRun {
   uint64_t apply_bytes = 0;  // local device bytes the pull's install wrote
   double wall_ms = 0.0;
@@ -166,15 +182,16 @@ int main() {
               static_cast<int>(kBlock));
   std::printf("update installed into a file of size S (section 3.2 footnote 5\n");
   std::printf("vs the section 7 storage-layer commit)\n\n");
-  std::printf("%12s %6s | %8s %14s | %8s %14s | %10s\n", "file size", "dirty",
-              "shadow", "shadow bytes", "delta", "delta bytes", "reduction");
-  std::printf("%12s %6s | %8s %14s | %8s %14s | %10s\n", "", "blocks", "writes",
-              "", "writes", "", "");
+  std::printf("%12s %6s | %8s %14s %9s | %8s %14s %9s | %10s %8s\n", "file size", "dirty",
+              "shadow", "shadow bytes", "shadow", "delta", "delta bytes", "delta",
+              "reduction", "speedup");
+  std::printf("%12s %6s | %8s %14s %9s | %8s %14s %9s | %10s %8s\n", "", "blocks", "writes",
+              "", "wall us", "writes", "", "wall us", "", "");
 
   // FICUS_BENCH_SMOKE=1 (CI) shrinks the sweep to a correctness check:
   // same code paths, same JSON shape, a fraction of the runtime. 1 MiB
   // stays in the smoke sweep — the acceptance floor is checked there.
-  const bool smoke = std::getenv("FICUS_BENCH_SMOKE") != nullptr;
+  const bool smoke = EnvFlag("FICUS_BENCH_SMOKE");
   const std::vector<size_t> sizes =
       smoke ? std::vector<size_t>{64 * 1024, 1024 * 1024}
             : std::vector<size_t>{16 * 1024, 64 * 1024, 256 * 1024, 1024 * 1024,
@@ -187,23 +204,36 @@ int main() {
   bool first = true;
   uint64_t delta_1dirty_min = ~0ull, delta_1dirty_max = 0;
   double reduction_at_1mib = 0.0;
+  // Rows from this size up must commit faster on the delta path. Smaller
+  // files stay ungated: a 16-of-16-dirty 64 KiB edit is all-dirty by
+  // construction, and there the delta path has nothing to save.
+  constexpr size_t kWallGatedBytes = 256 * 1024;
+  std::vector<std::string> slower_rows;
   for (size_t size : sizes) {
     const size_t blocks = (size + kBlock - 1) / kBlock;
     for (int dirty : dirty_counts) {
       if (static_cast<size_t>(dirty) > blocks) {
         continue;  // a 16-block edit to a 4-block file is not a sweep point
       }
-      CommitRun shadow = MeasureInstall(/*delta=*/false, size, dirty);
-      CommitRun delta = MeasureInstall(/*delta=*/true, size, dirty);
+      CommitRun shadow = BestInstall(/*delta=*/false, size, dirty);
+      CommitRun delta = BestInstall(/*delta=*/true, size, dirty);
       double reduction = delta.device_bytes == 0
                              ? 0.0
                              : static_cast<double>(shadow.device_bytes) /
                                    static_cast<double>(delta.device_bytes);
-      std::printf("%12zu %6d | %8llu %14llu | %8llu %14llu | %9.1fx\n", size, dirty,
-                  static_cast<unsigned long long>(shadow.device_writes),
-                  static_cast<unsigned long long>(shadow.device_bytes),
+      // Both walls come from this process, so their ratio holds across
+      // machines where the absolute numbers do not.
+      const double speedup = shadow.wall_us / delta.wall_us;
+      std::printf("%12zu %6d | %8llu %14llu %9.1f | %8llu %14llu %9.1f | %9.1fx %7.2fx\n",
+                  size, dirty, static_cast<unsigned long long>(shadow.device_writes),
+                  static_cast<unsigned long long>(shadow.device_bytes), shadow.wall_us,
                   static_cast<unsigned long long>(delta.device_writes),
-                  static_cast<unsigned long long>(delta.device_bytes), reduction);
+                  static_cast<unsigned long long>(delta.device_bytes), delta.wall_us,
+                  reduction, speedup);
+      if (size >= kWallGatedBytes && speedup < 1.0) {
+        slower_rows.push_back(std::to_string(size) + " B / " + std::to_string(dirty) +
+                              " dirty: " + std::to_string(speedup) + "x");
+      }
       if (!first) json << ",";
       first = false;
       json << "{\"file_size\":" << size << ",\"dirty_blocks\":" << dirty
@@ -213,7 +243,7 @@ int main() {
            << ",\"delta\":{\"device_writes\":" << delta.device_writes
            << ",\"device_bytes\":" << delta.device_bytes
            << ",\"wall_us\":" << delta.wall_us << "}"
-           << ",\"reduction\":" << reduction << "}";
+           << ",\"reduction\":" << reduction << ",\"speedup\":" << speedup << "}";
       if (dirty == 1) {
         delta_1dirty_min = std::min(delta_1dirty_min, delta.device_bytes);
         delta_1dirty_max = std::max(delta_1dirty_max, delta.device_bytes);
@@ -253,9 +283,10 @@ int main() {
   out << json.str() << "\n";
   std::printf("\nwrote BENCH_commit.json\n");
 
-  // Acceptance floors (ISSUE 9): a 1-block update's delta cost must be
-  // flat in file size, and at 1 MiB the shadow path must cost >= 16x as
-  // much. Fail the bench, not just the gate, if the property regresses.
+  // Acceptance floors: a 1-block update's delta cost must be flat in file
+  // size, at 1 MiB the shadow path must cost >= 16x as much, and no gated
+  // row may trade those bytes for wall time. Fail the bench, not just the
+  // gate, if a property regresses.
   bool ok = true;
   if (delta_1dirty_max > 2 * delta_1dirty_min) {
     std::fprintf(stderr,
@@ -272,6 +303,11 @@ int main() {
   }
   if (!apply_match) {
     std::fprintf(stderr, "FAIL: apply bytes differ across runtimes\n");
+    ok = false;
+  }
+  for (const std::string& row : slower_rows) {
+    std::fprintf(stderr, "FAIL: delta commit slower than shadow in wall time at %s\n",
+                 row.c_str());
     ok = false;
   }
 

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/common/rng.h"
 #include "src/repl/logical.h"
 #include "src/repl/physical.h"
 #include "src/storage/block_device.h"
@@ -139,8 +140,7 @@ constexpr int kTraceBoundaries = 4;
 // FICUS_BENCH_SMOKE=1 (CI) cuts the attribution passes to a correctness
 // check: same code paths and JSON shape, a fraction of the runtime.
 int TraceIterations() {
-  static const int iterations =
-      std::getenv("FICUS_BENCH_SMOKE") != nullptr ? 500 : 20000;
+  static const int iterations = EnvFlag("FICUS_BENCH_SMOKE") ? 500 : 20000;
   return iterations;
 }
 

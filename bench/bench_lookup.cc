@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/repl/logical.h"
 #include "src/repl/physical.h"
 #include "src/sim/cluster.h"
@@ -289,7 +290,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const bool smoke = std::getenv("FICUS_BENCH_SMOKE") != nullptr;
+  const bool smoke = EnvFlag("FICUS_BENCH_SMOKE");
 
   std::printf("Experiment L1 — pathname translation: name cache, hashed dirs, readdirplus\n");
   std::printf("(runtime: %s)\n\n", RuntimeModeName(runtime.mode));

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/repl/physical_api.h"
 #include "src/sim/cluster.h"
 #include "src/vfs/path_ops.h"
@@ -144,7 +145,7 @@ int main(int argc, char** argv) {
               "pulls", "bytes", "");
   // FICUS_BENCH_SMOKE=1 (CI) shrinks the sweep to a correctness check:
   // same code paths, same JSON shape, a fraction of the runtime.
-  const bool smoke = std::getenv("FICUS_BENCH_SMOKE") != nullptr;
+  const bool smoke = EnvFlag("FICUS_BENCH_SMOKE");
   const std::vector<int> bursts =
       smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8, 16, 32, 64};
   std::ostringstream json;

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/repl/physical.h"
 #include "src/sim/cluster.h"
 #include "src/vfs/path_ops.h"
@@ -232,7 +233,7 @@ NonBlockingResult NonBlockingSubtree() {
 }  // namespace
 
 int main() {
-  const bool smoke = std::getenv("FICUS_BENCH_SMOKE") != nullptr;
+  const bool smoke = EnvFlag("FICUS_BENCH_SMOKE");
   std::printf("Experiments R1/R2 — reconciliation (section 3.3)\n\n");
 
   std::ostringstream json;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace ficus {
 
@@ -27,6 +28,11 @@ uint64_t SeedFromEnvOr(uint64_t default_seed, const char* label) {
                overridden ? " (from FICUS_SEED)" : "",
                static_cast<unsigned long long>(seed));
   return seed;
+}
+
+bool EnvFlag(const char* name) {
+  const char* env = std::getenv(name);
+  return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
 }
 
 namespace {

@@ -18,6 +18,10 @@ namespace ficus {
 // only actionable if the seed that produced it is in the output.
 uint64_t SeedFromEnvOr(uint64_t default_seed, const char* label);
 
+// True when environment variable `name` is set to anything but "" or "0"
+// (so FICUS_BENCH_SMOKE=0 means off, as it reads).
+bool EnvFlag(const char* name);
+
 // xoshiro256** — small, fast, high-quality; seeded via splitmix64.
 class Rng {
  public:

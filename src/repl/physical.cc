@@ -18,19 +18,18 @@ constexpr char kOrphanDir[] = "orphans";
 constexpr char kAttrSuffix[] = ".attr";
 constexpr char kShadowSuffix[] = ".shadow";
 constexpr uint32_t kMetaMagic = 0xF1C0501D;
-// Header of every on-disk Ficus directory file: magic + generation.
-constexpr uint32_t kDirMagic = 0xF1C0D1D0;
-constexpr size_t kDirHeaderSize = 12;  // u32 magic + u64 generation
-// v2 header appends the order-independent digest of the entry set, so a
-// stale or corrupted parsed-directory image is detectable on load the
-// same way a stale cached parse is detectable by generation. v1 files
-// (pre-digest) still load; the next store rewrites them as v2.
-constexpr uint32_t kDirMagicV2 = 0xF1C0D1D2;
-constexpr size_t kDirHeaderSizeV2 = 20;
+// Header of every stored Ficus directory file: magic + generation + the
+// order-independent digest of the entry set, so a stale or corrupted
+// parsed-directory image is detectable on load the same way a stale
+// cached parse is detectable by generation. The magic (v3) also names the
+// digest function, ContentHash: a new hash is a new format. Freshly
+// created empty directories are header-less until their first store.
+constexpr uint32_t kDirMagic = 0xF1C0D1D3;
+constexpr size_t kDirHeaderSize = 20;  // u32 magic + u64 generation + u64 entry digest
 // Folded in place of a child's subtree digest when the descent revisits a
 // directory already on the current path (should be impossible in the
 // acyclic namespace; the marker keeps the rollup finite regardless).
-constexpr uint64_t kDigestCycleMarker = 0xF1C05C1CF1C05C1CULL;  // u32 magic + u64 generation + u64 entry digest
+constexpr uint64_t kDigestCycleMarker = 0xF1C05C1CF1C05C1CULL;
 
 bool HasSuffix(std::string_view name, std::string_view suffix) {
   return name.size() >= suffix.size() &&
@@ -79,6 +78,17 @@ StatusOr<size_t> FindAliveByPresentedName(const std::vector<FicusDirEntry>& entr
   return NotFoundError(std::string(name));
 }
 
+// ContentHash of each kDeltaBlockSize block of data[0, size) (the last
+// block may be partial) into out[0, DeltaBlockCount(size)). Returns the
+// number of blocks hashed.
+uint64_t HashBlocks(const uint8_t* data, size_t size, uint64_t* out) {
+  uint64_t blocks = 0;
+  for (size_t off = 0; off < size; off += kDeltaBlockSize) {
+    out[blocks++] = ContentHash(data + off, std::min<size_t>(kDeltaBlockSize, size - off));
+  }
+  return blocks;
+}
+
 }  // namespace
 
 namespace {
@@ -110,6 +120,7 @@ PhysicalLayer::PhysicalLayer(ufs::Ufs* ufs, const Clock* clock, PhysicalOptions 
   stats_.commit_shadow = registry_->counter("repl.phys.commit.shadow");
   stats_.journal_replays = registry_->counter("repl.phys.commit.journal_replays");
   stats_.commit_bytes_written = registry_->counter("repl.phys.commit.bytes_written");
+  stats_.digest_blocks_hashed = registry_->counter("repl.physical.digest.blocks_hashed");
 }
 
 PhysicalStats PhysicalLayer::stats() const {
@@ -175,6 +186,7 @@ Status PhysicalLayer::CreateVolume(const VolumeId& volume, ReplicaId replica,
   attached_ = true;
   locations_.clear();
   alive_refs_.clear();
+  digest_cache_.clear();
   digest_tree_.clear();
   digest_parents_.clear();
 
@@ -227,6 +239,7 @@ Status PhysicalLayer::Attach(std::string_view container_name) {
   attached_ = true;
   locations_.clear();
   alive_refs_.clear();
+  digest_cache_.clear();
   digest_tree_.clear();
   digest_parents_.clear();
 
@@ -400,25 +413,20 @@ StatusOr<std::vector<FicusDirEntry>> PhysicalLayer::LoadDirEntries(FileId dir) {
 
   // Peek at the header: a matching generation validates the cached parse.
   std::vector<uint8_t> header;
-  FICUS_RETURN_IF_ERROR(ufs_->ReadAt(ino, 0, kDirHeaderSizeV2, header).status());
+  FICUS_RETURN_IF_ERROR(ufs_->ReadAt(ino, 0, kDirHeaderSize, header).status());
   uint64_t generation = 0;
   uint64_t stored_digest = 0;
-  size_t header_size = 0;  // 0 = legacy header-less file
-  bool has_digest = false;
-  if (header.size() >= kDirHeaderSize) {
+  bool has_header = false;  // false = fresh header-less empty directory
+  if (header.size() == kDirHeaderSize) {
     ByteReader hr(header);
     FICUS_ASSIGN_OR_RETURN(uint32_t magic, hr.GetU32());
-    if (magic == kDirMagicV2 && header.size() >= kDirHeaderSizeV2) {
+    if (magic == kDirMagic) {
       FICUS_ASSIGN_OR_RETURN(generation, hr.GetU64());
       FICUS_ASSIGN_OR_RETURN(stored_digest, hr.GetU64());
-      header_size = kDirHeaderSizeV2;
-      has_digest = true;
-    } else if (magic == kDirMagic) {
-      FICUS_ASSIGN_OR_RETURN(generation, hr.GetU64());
-      header_size = kDirHeaderSize;
+      has_header = true;
     }
   }
-  if (header_size != 0) {
+  if (has_header) {
     auto it = dir_cache_.find(dir);
     if (it != dir_cache_.end() && it->second.generation == generation) {
       stats_.dir_cache_hits->Increment();
@@ -429,13 +437,13 @@ StatusOr<std::vector<FicusDirEntry>> PhysicalLayer::LoadDirEntries(FileId dir) {
 
   FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ufs_->ReadAll(ino));
   std::vector<uint8_t> body;
-  if (header_size != 0) {
-    body.assign(bytes.begin() + static_cast<std::ptrdiff_t>(header_size), bytes.end());
+  if (has_header) {
+    body.assign(bytes.begin() + static_cast<std::ptrdiff_t>(kDirHeaderSize), bytes.end());
   } else {
-    body = std::move(bytes);  // legacy header-less file (fresh empty dirs)
+    body = std::move(bytes);
   }
   FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> entries, DeserializeDirEntries(body));
-  if (has_digest && EntrySetDigest(entries) != stored_digest) {
+  if (has_header && EntrySetDigest(entries) != stored_digest) {
     return CorruptError("directory " + dir.ToString() +
                         ": entry digest mismatch (stale or damaged directory file)");
   }
@@ -461,7 +469,7 @@ Status PhysicalLayer::StoreDirEntries(FileId dir, const std::vector<FicusDirEntr
     if (header.size() == kDirHeaderSize) {
       ByteReader hr(header);
       auto magic = hr.GetU32();
-      if (magic.ok() && (magic.value() == kDirMagic || magic.value() == kDirMagicV2)) {
+      if (magic.ok() && magic.value() == kDirMagic) {
         auto old_gen = hr.GetU64();
         if (old_gen.ok()) {
           generation = old_gen.value() + 1;
@@ -471,7 +479,7 @@ Status PhysicalLayer::StoreDirEntries(FileId dir, const std::vector<FicusDirEntr
   }
   std::vector<uint8_t> bytes;
   ByteWriter w(bytes);
-  w.PutU32(kDirMagicV2);
+  w.PutU32(kDirMagic);
   w.PutU64(generation);
   w.PutU64(EntrySetDigest(entries));
   std::vector<uint8_t> body = SerializeDirEntries(entries);
@@ -648,48 +656,98 @@ StatusOr<BlockDigestInfo> PhysicalLayer::ReadBlockDigests(FileId file) {
   FICUS_ASSIGN_OR_RETURN(ReplicaAttributes attrs, LoadAttributes(file));
   FICUS_ASSIGN_OR_RETURN(uint64_t size, DataSize(file));
   auto it = digest_cache_.find(file);
-  if (it != digest_cache_.end() && it->second.vv.Compare(attrs.vv) == VectorOrder::kEqual &&
-      it->second.file_size == size) {
+  if (it != digest_cache_.end() && it->second.ValidFor(attrs.vv, size)) {
     return BlockDigestInfo{it->second.file_size, it->second.digests};
   }
   FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> data, ReadAllData(file));
   BlockDigestInfo info;
   info.file_size = data.size();
-  info.digests.reserve((data.size() + kDeltaBlockSize - 1) / kDeltaBlockSize);
-  for (size_t off = 0; off < data.size(); off += kDeltaBlockSize) {
-    size_t len = std::min<size_t>(kDeltaBlockSize, data.size() - off);
-    info.digests.push_back(BlockDigest(data.data() + off, len));
+  info.digests.resize(DeltaBlockCount(data.size()));
+  stats_.digest_blocks_hashed->Add(HashBlocks(data.data(), data.size(), info.digests.data()));
+  CacheDigests(file, CachedDigests{attrs.vv, info.file_size, info.digests});
+  return info;
+}
+
+bool PhysicalLayer::CachedDigests::ValidFor(const VersionVector& current_vv,
+                                            uint64_t current_size) const {
+  return file_size == current_size && vv.Compare(current_vv) == VectorOrder::kEqual;
+}
+
+void PhysicalLayer::CacheDigests(FileId file, CachedDigests entry) {
+  auto it = digest_cache_.find(file);
+  if (it != digest_cache_.end()) {
+    it->second = std::move(entry);
+    return;
   }
   if (digest_cache_.size() >= kMaxCachedDigests) {
     digest_cache_.erase(digest_cache_.begin());
   }
-  digest_cache_[file] = CachedDigests{attrs.vv, info.file_size, info.digests};
-  return info;
+  digest_cache_.emplace(file, std::move(entry));
+}
+
+Status PhysicalLayer::UpdateData(FileId file, uint64_t lo, uint64_t hi,
+                                 const std::function<Status(ufs::InodeNum)>& mutate) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  FICUS_RETURN_IF_ERROR(CheckAttached());
+  FICUS_ASSIGN_OR_RETURN(ufs::InodeNum ino, DataInode(file));
+  // Out of the cache before any byte moves, so a failure anywhere below
+  // cannot leave digests of the old contents behind.
+  auto cached = digest_cache_.extract(file);
+  uint64_t old_size = 0;
+  if (!cached.empty()) {
+    FICUS_ASSIGN_OR_RETURN(ufs::Inode inode, ufs_->ReadInode(ino));
+    old_size = inode.size;
+  }
+  FICUS_RETURN_IF_ERROR(mutate(ino));
+  FICUS_ASSIGN_OR_RETURN(ReplicaAttributes attrs, LoadAttributes(file));
+  const bool warm = !cached.empty() && cached.mapped().ValidFor(attrs.vv, old_size);
+  attrs.vv.Increment(replica_);
+  attrs.mtime = Now();
+  FICUS_RETURN_IF_ERROR(StoreAttributes(file, attrs));
+  if (warm) {
+    // The update itself is done; a refresh that fails costs only warmth
+    // (the entry stays out and the next ReadBlockDigests rebuilds it).
+    (void)RefreshDigests(file, ino, std::move(cached.mapped()), attrs.vv,
+                         std::min(lo, old_size), hi);
+  }
+  return OkStatus();
+}
+
+Status PhysicalLayer::RefreshDigests(FileId file, ufs::InodeNum ino, CachedDigests entry,
+                                     const VersionVector& vv, uint64_t lo, uint64_t hi) {
+  // Every block wholly outside [lo, hi) kept its bytes and its length
+  // (the block holding the old EOF lies inside whenever the file grew),
+  // so only the blocks overlapping the range are read back and rehashed,
+  // a bounded run at a time: a truncate that grows the file can open a
+  // long hole.
+  constexpr uint64_t kRunBlocks = 256;
+  FICUS_ASSIGN_OR_RETURN(ufs::Inode inode, ufs_->ReadInode(ino));
+  const uint64_t end = std::min(DeltaBlockCount(hi), DeltaBlockCount(inode.size));
+  entry.digests.resize(DeltaBlockCount(inode.size));
+  std::vector<uint8_t> bytes;
+  for (uint64_t b = lo / kDeltaBlockSize; b < end; b += kRunBlocks) {
+    const uint64_t run = std::min(kRunBlocks, end - b);
+    FICUS_RETURN_IF_ERROR(
+        ufs_->ReadAt(ino, b * kDeltaBlockSize, run * kDeltaBlockSize, bytes).status());
+    stats_.digest_blocks_hashed->Add(
+        HashBlocks(bytes.data(), bytes.size(), entry.digests.data() + b));
+  }
+  entry.vv = vv;
+  entry.file_size = inode.size;
+  CacheDigests(file, std::move(entry));
+  return OkStatus();
 }
 
 Status PhysicalLayer::WriteData(FileId file, uint64_t offset,
                                 const std::vector<uint8_t>& data) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_RETURN_IF_ERROR(CheckAttached());
-  FICUS_ASSIGN_OR_RETURN(ufs::InodeNum ino, DataInode(file));
-  FICUS_RETURN_IF_ERROR(ufs_->WriteAt(ino, offset, data).status());
-  digest_cache_.erase(file);
-  FICUS_ASSIGN_OR_RETURN(ReplicaAttributes attrs, LoadAttributes(file));
-  attrs.vv.Increment(replica_);
-  attrs.mtime = Now();
-  return StoreAttributes(file, attrs);
+  return UpdateData(file, offset, offset + data.size(), [&](ufs::InodeNum ino) {
+    return ufs_->WriteAt(ino, offset, data).status();
+  });
 }
 
 Status PhysicalLayer::TruncateData(FileId file, uint64_t size) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_RETURN_IF_ERROR(CheckAttached());
-  FICUS_ASSIGN_OR_RETURN(ufs::InodeNum ino, DataInode(file));
-  FICUS_RETURN_IF_ERROR(ufs_->Truncate(ino, size));
-  digest_cache_.erase(file);
-  FICUS_ASSIGN_OR_RETURN(ReplicaAttributes attrs, LoadAttributes(file));
-  attrs.vv.Increment(replica_);
-  attrs.mtime = Now();
-  return StoreAttributes(file, attrs);
+  return UpdateData(file, size, size,
+                    [&](ufs::InodeNum ino) { return ufs_->Truncate(ino, size); });
 }
 
 Status PhysicalLayer::MaybeCrash(CommitCrashPoint point) const {
@@ -703,7 +761,8 @@ Status PhysicalLayer::MaybeCrash(CommitCrashPoint point) const {
 
 StatusOr<bool> PhysicalLayer::TryDeltaCommit(FileId file, const Location& loc,
                                              const std::vector<uint8_t>& contents,
-                                             const VersionVector& vv) {
+                                             const VersionVector& vv,
+                                             const std::vector<uint64_t>& digests) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (!ufs_->journal_enabled() || contents.size() < options_.commit_min_bytes) {
     return false;
@@ -714,25 +773,22 @@ StatusOr<bool> PhysicalLayer::TryDeltaCommit(FileId file, const Location& loc,
   }
   ufs::InodeNum ino = ino_or.value();
   FICUS_ASSIGN_OR_RETURN(ufs::Inode inode, ufs_->ReadInode(ino));
-  const uint64_t total_blocks =
-      (contents.size() + kDeltaBlockSize - 1) / kDeltaBlockSize;
-  const uint64_t old_blocks = (inode.size + kDeltaBlockSize - 1) / kDeltaBlockSize;
-  if (total_blocks == 0 || total_blocks != old_blocks) {
+  const uint64_t total_blocks = DeltaBlockCount(contents.size());
+  if (total_blocks == 0 || total_blocks != DeltaBlockCount(inode.size)) {
     return false;  // block count changes: whole-file rewrite territory
   }
 
-  // Dirty set by a local digest diff — deliberately never from a
-  // caller-supplied hint: a local write racing the propagation fetch
-  // would make such a hint stale, and a stale hint silently corrupts.
+  // Dirty set: the incoming digests against this layer's own, read under
+  // the lock — never a caller-supplied dirty list or local side: a local
+  // write racing the propagation fetch would make either stale, and a
+  // stale one silently corrupts.
   FICUS_ASSIGN_OR_RETURN(BlockDigestInfo local, ReadBlockDigests(file));
   if (local.digests.size() != total_blocks) {
     return false;
   }
   std::vector<uint32_t> dirty;
   for (uint64_t b = 0; b < total_blocks; ++b) {
-    size_t off = static_cast<size_t>(b) * kDeltaBlockSize;
-    size_t len = std::min<size_t>(kDeltaBlockSize, contents.size() - off);
-    if (BlockDigest(contents.data() + off, len) != local.digests[b]) {
+    if (digests[b] != local.digests[b]) {
       dirty.push_back(static_cast<uint32_t>(b));
     }
   }
@@ -811,11 +867,21 @@ StatusOr<bool> PhysicalLayer::TryDeltaCommit(FileId file, const Location& loc,
 
 Status PhysicalLayer::InstallVersion(FileId file, const std::vector<uint8_t>& contents,
                                      const VersionVector& vv) {
+  std::vector<uint64_t> digests(DeltaBlockCount(contents.size()));
+  stats_.digest_blocks_hashed->Add(HashBlocks(contents.data(), contents.size(), digests.data()));
+  return InstallVersion(file, contents, vv, std::move(digests));
+}
+
+Status PhysicalLayer::InstallVersion(FileId file, const std::vector<uint8_t>& contents,
+                                     const VersionVector& vv, std::vector<uint64_t> digests) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_RETURN_IF_ERROR(CheckAttached());
   FICUS_ASSIGN_OR_RETURN(Location loc, Find(file));
   if (IsDirectoryLike(loc.type)) {
     return IsDirError("InstallVersion applies to regular files only");
+  }
+  if (digests.size() != DeltaBlockCount(contents.size())) {
+    return InvalidArgumentError("incoming block digests do not cover the contents");
   }
   const uint64_t writes_before = ufs_->cache()->device()->stats().writes;
   auto account = [&]() {
@@ -828,11 +894,12 @@ Status PhysicalLayer::InstallVersion(FileId file, const std::vector<uint8_t>& co
   // writes instead of the shadow clone's O(file size) (the paper's
   // footnote-5 amplification, fixed by its section-7 wish of "putting a
   // commit function into the storage layer").
-  FICUS_ASSIGN_OR_RETURN(bool delta_done, TryDeltaCommit(file, loc, contents, vv));
+  FICUS_ASSIGN_OR_RETURN(bool delta_done, TryDeltaCommit(file, loc, contents, vv, digests));
   if (delta_done) {
     account();
     stats_.commit_delta->Increment();
     stats_.installs->Increment();
+    CacheDigests(file, CachedDigests{vv, contents.size(), std::move(digests)});
     return OkStatus();
   }
 
@@ -904,6 +971,7 @@ Status PhysicalLayer::InstallVersion(FileId file, const std::vector<uint8_t>& co
   account();
   stats_.commit_shadow->Increment();
   stats_.installs->Increment();
+  CacheDigests(file, CachedDigests{vv, contents.size(), std::move(digests)});
   return OkStatus();
 }
 
@@ -1437,16 +1505,9 @@ StatusOr<std::string> PhysicalLayer::ReadLink(FileId file) {
 }
 
 Status PhysicalLayer::WriteLink(FileId file, std::string_view target) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_RETURN_IF_ERROR(CheckAttached());
-  FICUS_ASSIGN_OR_RETURN(ufs::InodeNum ino, DataInode(file));
   std::vector<uint8_t> bytes(target.begin(), target.end());
-  FICUS_RETURN_IF_ERROR(ufs_->WriteAll(ino, bytes));
-  digest_cache_.erase(file);
-  FICUS_ASSIGN_OR_RETURN(ReplicaAttributes attrs, LoadAttributes(file));
-  attrs.vv.Increment(replica_);
-  attrs.mtime = Now();
-  return StoreAttributes(file, attrs);
+  return UpdateData(file, 0, bytes.size(),
+                    [&](ufs::InodeNum ino) { return ufs_->WriteAll(ino, bytes); });
 }
 
 // --- PhysicalApi: open/close ---
@@ -1591,6 +1652,7 @@ StatusOr<int> PhysicalLayer::GarbageCollect() {
       }
       it = locations_.erase(it);
       alive_refs_.erase(file);
+      digest_cache_.erase(file);
       InvalidateDigestUp(file);
       digest_tree_.erase(file);
       digest_parents_.erase(file);
@@ -1694,7 +1756,7 @@ uint64_t PhysicalLayer::EntrySetDigest(const std::vector<FicusDirEntry>& entries
     scratch.clear();
     ByteWriter w(scratch);
     e.Serialize(w);
-    set = DigestAddElement(set, BlockDigest(scratch.data(), scratch.size()));
+    set = DigestAddElement(set, ContentHash(scratch.data(), scratch.size()));
   }
   return set;
 }
@@ -1769,7 +1831,7 @@ StatusOr<PhysicalLayer::DigestNode> PhysicalLayer::ComputeDigestNode(
     } else {
       sw.PutU8(0);  // unstored marker
     }
-    files = DigestAddElement(files, BlockDigest(scratch.data(), scratch.size()));
+    files = DigestAddElement(files, ContentHash(scratch.data(), scratch.size()));
   }
   node.files_digest = files;
 
@@ -1789,7 +1851,7 @@ StatusOr<PhysicalLayer::DigestNode> PhysicalLayer::ComputeDigestNode(
     ByteWriter vw(scratch);
     node.vv.Serialize(vw);
   }
-  subtree = DigestMix(subtree, BlockDigest(scratch.data(), scratch.size()));
+  subtree = DigestMix(subtree, ContentHash(scratch.data(), scratch.size()));
   visiting.insert(dir);
   for (FileId child : child_dirs) {
     uint64_t child_digest;
@@ -1873,9 +1935,30 @@ StatusOr<std::vector<std::string>> PhysicalLayer::ValidateDigestTree() {
     }
   }
 
-  // Every persisted v2 header must cover exactly the entry set that
-  // follows it. LoadDirEntries only validates on a full (cache-missing)
-  // parse, so go under the cache and check the raw bytes.
+  // Every block-digest cache entry still valid for its file's current
+  // version vector and size must match the bytes on disk: a stale one
+  // would make a delta commit skip a dirty block.
+  for (const auto& [file, cached] : digest_cache_) {
+    auto attrs = LoadAttributes(file);
+    auto ino = DataInode(file);
+    if (!attrs.ok() || !ino.ok()) {
+      continue;
+    }
+    auto data = ufs_->ReadAll(*ino);
+    if (!data.ok() || !cached.ValidFor(attrs->vv, data->size())) {
+      continue;
+    }
+    std::vector<uint64_t> fresh(DeltaBlockCount(data->size()));
+    HashBlocks(data->data(), data->size(), fresh.data());
+    if (fresh != cached.digests) {
+      problems.push_back("block digests " + file.ToString() +
+                         ": cached digests disagree with file contents");
+    }
+  }
+
+  // Every persisted header must cover exactly the entry set that follows
+  // it. LoadDirEntries only validates on a full (cache-missing) parse, so
+  // go under the cache and check the raw bytes.
   for (const auto& [file, loc] : locations_) {
     if (!IsDirectoryLike(loc.type)) {
       continue;
@@ -1885,12 +1968,12 @@ StatusOr<std::vector<std::string>> PhysicalLayer::ValidateDigestTree() {
       continue;
     }
     auto bytes = ufs_->ReadAll(*ino);
-    if (!bytes.ok() || bytes->size() < kDirHeaderSizeV2) {
+    if (!bytes.ok() || bytes->size() < kDirHeaderSize) {
       continue;
     }
     ByteReader hr(*bytes);
     auto magic = hr.GetU32();
-    if (!magic.ok() || magic.value() != kDirMagicV2) {
+    if (!magic.ok() || magic.value() != kDirMagic) {
       continue;
     }
     (void)hr.GetU64();  // generation
@@ -1898,7 +1981,7 @@ StatusOr<std::vector<std::string>> PhysicalLayer::ValidateDigestTree() {
     if (!stored.ok()) {
       continue;
     }
-    std::vector<uint8_t> body(bytes->begin() + kDirHeaderSizeV2, bytes->end());
+    std::vector<uint8_t> body(bytes->begin() + kDirHeaderSize, bytes->end());
     auto entries = DeserializeDirEntries(body);
     if (!entries.ok()) {
       problems.push_back("directory " + file.ToString() + ": entries unreadable: " +

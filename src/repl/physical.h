@@ -175,6 +175,16 @@ class PhysicalLayer : public PhysicalApi {
   Status TruncateData(FileId file, uint64_t size) override;
   Status InstallVersion(FileId file, const std::vector<uint8_t>& contents,
                         const VersionVector& vv) override;
+  // InstallVersion for a caller that already holds the incoming side of
+  // the commit's diff: `digests` must be the ContentHash of every
+  // kDeltaBlockSize block of `contents`, just verified against those exact
+  // bytes (the propagation daemon's delta-fetch verification pass), so the
+  // install hashes nothing. The local side of the diff always comes from
+  // this layer's own digests under its lock, so a local write racing the
+  // fetch is never missed. Deliberately not part of PhysicalApi: digests
+  // that crossed a wire are a claim, not a verification.
+  Status InstallVersion(FileId file, const std::vector<uint8_t>& contents,
+                        const VersionVector& vv, std::vector<uint64_t> digests);
   StatusOr<std::vector<FicusDirEntry>> ReadDirectory(FileId dir) override;
   StatusOr<std::vector<DirEntryPlus>> ReadDirPlus(FileId dir) override;
   StatusOr<FileId> CreateChild(FileId dir, std::string_view name, FicusFileType type,
@@ -275,9 +285,21 @@ class PhysicalLayer : public PhysicalApi {
   // no journal, attribute spill, ...). Errors — including the simulated
   // crash hook's I/O error — propagate without fallback: after a mid-
   // commit crash the image must be left exactly as the crash left it.
+  // `digests` are the incoming contents' block digests (InstallVersion's
+  // contract); the dirty set is their diff against this layer's own.
   StatusOr<bool> TryDeltaCommit(FileId file, const Location& loc,
                                 const std::vector<uint8_t>& contents,
-                                const VersionVector& vv);
+                                const VersionVector& vv,
+                                const std::vector<uint64_t>& digests);
+
+  // The client update paths (WriteData, TruncateData, WriteLink): runs
+  // `mutate` on the data file, whose bytes from `lo` up to `hi` (and from
+  // the old EOF, if the file grew) it may change, then advances this
+  // replica's component of the version vector. A block-digest cache entry
+  // that was valid before stays valid: RefreshDigests rehashes just the
+  // blocks overlapping [min(lo, old size), hi).
+  Status UpdateData(FileId file, uint64_t lo, uint64_t hi,
+                    const std::function<Status(ufs::InodeNum)>& mutate);
 
   StatusOr<Location> Find(FileId file) const;
   // UFS inode of a regular replica's data file.
@@ -357,14 +379,25 @@ class PhysicalLayer : public PhysicalApi {
   };
   std::map<FileId, CachedDir> dir_cache_;
   static constexpr size_t kMaxCachedDirs = 64;  // live directory references per file
-  // Lazily computed block digests, validated against the attributes'
+  // Block digests per regular file, valid only while the attributes'
   // version vector (every content mutation bumps or replaces the vv) and
-  // the current data size. Erased eagerly by the mutating paths too.
+  // the data size still match. Built lazily by ReadBlockDigests, then kept
+  // current: UpdateData rehashes only the blocks an update touched, and
+  // every successful install leaves the installed contents' digests.
   struct CachedDigests {
     VersionVector vv;
     uint64_t file_size = 0;
     std::vector<uint64_t> digests;
+
+    bool ValidFor(const VersionVector& current_vv, uint64_t current_size) const;
   };
+  // Inserts or replaces `file`'s entry, evicting another at capacity.
+  void CacheDigests(FileId file, CachedDigests entry);
+  // Brings `entry`, valid before an update, up to date with the bytes now
+  // on disk by rehashing the blocks overlapping [lo, hi); stamps it with
+  // `vv` and caches it.
+  Status RefreshDigests(FileId file, ufs::InodeNum ino, CachedDigests entry,
+                        const VersionVector& vv, uint64_t lo, uint64_t hi);
   std::map<FileId, CachedDigests> digest_cache_;
   static constexpr size_t kMaxCachedDigests = 64;
 
@@ -375,7 +408,7 @@ class PhysicalLayer : public PhysicalApi {
   // GetSubtreeDigests recomputes missing nodes lazily (child-first, so an
   // unchanged subtree is one map lookup). In-memory only — rebuilt after
   // Attach — while the per-directory ENTRY digest is also persisted in
-  // the .dir header (v2) and validated on every full parse.
+  // the .dir header and validated on every full parse.
   struct DigestNode {
     VersionVector vv;           // dir's own vv at compute time
     uint64_t entry_digest = 0;
@@ -422,6 +455,9 @@ class PhysicalLayer : public PhysicalApi {
     Counter* commit_shadow;
     Counter* journal_replays;
     Counter* commit_bytes_written;
+    // Registry-only (`repl.physical.digest.blocks_hashed`): data blocks
+    // this layer ran ContentHash over, on every path that hashes.
+    Counter* digest_blocks_hashed;
   };
 
   MetricRegistry owned_registry_;

@@ -15,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/content_hash.h"
 #include "src/common/status.h"
 #include "src/repl/types.h"
 
@@ -26,28 +27,16 @@ namespace ficus::repl {
 // never straddles more device blocks than the data it carries.
 inline constexpr uint32_t kDeltaBlockSize = 4096;
 
-// Strong 64-bit content digest for one block: FNV-1a over the bytes,
-// seeded with the block length (so a short tail block never collides
-// with its zero-padded sibling), finished with a splitmix64 avalanche
-// to spread FNV's weak low bits. Not cryptographic — the threat model
-// is accidental collision between replicas of the same file, where
-// 64 bits is ample.
-inline uint64_t BlockDigest(const uint8_t* data, size_t len) {
-  uint64_t h = 0xcbf29ce484222325ULL ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(len));
-  for (size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  h += 0x9e3779b97f4a7c15ULL;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  return h ^ (h >> 31);
+// Number of kDeltaBlockSize blocks (the last may be partial) in `size` bytes.
+inline uint64_t DeltaBlockCount(uint64_t size) {
+  return (size + kDeltaBlockSize - 1) / kDeltaBlockSize;
 }
 
 // Result of ReadBlockDigests: the file size at digest time plus one
-// digest per kDeltaBlockSize block (the last block may be partial). The
-// size rides along so a single RPC tells the puller everything it needs
-// to plan the delta fetch.
+// ContentHash per kDeltaBlockSize block (the last block may be partial;
+// the hash is length-seeded, so a short tail never matches its
+// zero-padded sibling). The size rides along so a single RPC tells the
+// puller everything it needs to plan the delta fetch.
 struct BlockDigestInfo {
   uint64_t file_size = 0;
   std::vector<uint64_t> digests;

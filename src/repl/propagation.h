@@ -139,14 +139,23 @@ class PropagationDaemon {
   Status Propagate(const NewVersionEntry& entry,
                    const std::map<GlobalFileId, ReplicaAttributes>& probed);
 
-  // Pulls the remote version's bytes via block deltas: compares remote
-  // digests against the local copy and fetches only differing block runs.
-  // Returns the fully assembled contents; `fetched_bytes` reports the
-  // payload actually transferred. A non-ok result means "fall back to a
-  // whole-file read" unless its code is kUnreachable/kTimedOut, which the
-  // caller must surface to the retry machinery.
-  StatusOr<std::vector<uint8_t>> TryDeltaFetch(FileId file, PhysicalApi* source,
-                                               uint64_t* fetched_bytes);
+  // A pulled version: the whole new contents, the payload bytes that
+  // actually crossed the wire, and — after a delta fetch — the block
+  // digests the verification pass checked against `contents`.
+  struct Fetched {
+    std::vector<uint8_t> contents;
+    uint64_t fetched_bytes = 0;
+    std::vector<uint64_t> digests;
+  };
+
+  // Pulls the remote version's bytes via block deltas: compares the
+  // remote digests against the local layer's own and fetches only
+  // differing block runs, assembling the rest from the local copy. Then
+  // hashes the assembled contents once to verify them against the remote
+  // digests. A non-ok result means "fall back to a whole-file read"
+  // unless its code is kUnreachable/kTimedOut, which the caller must
+  // surface to the retry machinery.
+  StatusOr<Fetched> TryDeltaFetch(FileId file, PhysicalApi* source);
 
   PhysicalLayer* local_;
   ReplicaResolver* resolver_;

@@ -104,7 +104,15 @@ struct Runner {
       if (layer == nullptr) continue;
       StatusOr<std::vector<repl::FicusDirEntry>> raw =
           layer->ReadDirectory(parent_ids[index]);
-      if (!raw.ok()) continue;
+      if (!raw.ok()) {
+        // A live replica that does not store the parent at all (a replica
+        // added while its peers were unreachable) lacks the name too.
+        if (raw.status().code() == ErrorCode::kNotFound) {
+          ++truth.live_replicas;
+          truth.absent_somewhere = true;
+        }
+        continue;
+      }
       ++truth.live_replicas;
       bool alive_here = false;
       for (const repl::FicusDirEntry& entry : raw.value()) {

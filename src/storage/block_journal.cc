@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "src/common/content_hash.h"
+
 namespace ficus::storage {
 
 namespace {
@@ -11,22 +13,13 @@ namespace {
 //   u32 state            0 = empty/unsealed, 1 = sealed
 //   u32 count
 //   u32 reserved (0)
-//   count x { u32 target, u64 digest }
-//   u64 checksum         FNV-1a over every preceding byte
+//   count x { u32 target, u64 digest }   digest = ContentHash of the image
+//   u64 checksum         ContentHash over every preceding byte
 // A header whose magic, checksum, or geometry fails to parse is treated as
 // empty: the region starts zeroed and only a completed header write can
 // produce a valid one, so anything else is pre-seal debris.
 constexpr size_t kHeaderFixedBytes = 16;
 constexpr size_t kRecordBytes = 12;
-
-uint64_t Fnv64(const uint8_t* data, size_t size) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 void PutU32(std::vector<uint8_t>& out, size_t at, uint32_t v) {
   std::memcpy(out.data() + at, &v, sizeof(v));
@@ -65,10 +58,10 @@ Status BlockJournal::WriteHeader(uint32_t state, const std::vector<JournalRecord
   size_t at = kHeaderFixedBytes;
   for (const JournalRecord& r : records) {
     PutU32(block, at, r.target);
-    PutU64(block, at + 4, Fnv64(r.image.data(), r.image.size()));
+    PutU64(block, at + 4, ContentHash(r.image.data(), r.image.size()));
     at += kRecordBytes;
   }
-  PutU64(block, at, Fnv64(block.data(), at));
+  PutU64(block, at, ContentHash(block.data(), at));
   return cache_->Write(start_, block);
 }
 
@@ -88,7 +81,7 @@ StatusOr<BlockJournal::Header> BlockJournal::ReadHeader() {
   if (count > capacity() || records_end + sizeof(uint64_t) > kBlockSize) {
     return header;
   }
-  if (GetU64(block, records_end) != Fnv64(block.data(), records_end)) {
+  if (GetU64(block, records_end) != ContentHash(block.data(), records_end)) {
     return header;
   }
   header.state = state;
@@ -149,7 +142,7 @@ Status BlockJournal::Seal() {
   PutU32(block, 4, 1);
   // The state is covered by the trailing checksum; recompute it.
   size_t records_end = kHeaderFixedBytes + header.records.size() * kRecordBytes;
-  PutU64(block, records_end, Fnv64(block.data(), records_end));
+  PutU64(block, records_end, ContentHash(block.data(), records_end));
   return cache_->Write(start_, block);
 }
 
@@ -158,7 +151,7 @@ Status BlockJournal::Apply() {
   for (size_t i = 0; i < header.records.size(); ++i) {
     std::vector<uint8_t> image;
     FICUS_RETURN_IF_ERROR(cache_->Read(start_ + 1 + static_cast<BlockNum>(i), image));
-    if (Fnv64(image.data(), image.size()) != header.digests[i]) {
+    if (ContentHash(image.data(), image.size()) != header.digests[i]) {
       return CorruptError("staged journal image fails its checksum");
     }
     FICUS_RETURN_IF_ERROR(cache_->Write(header.records[i].target, image));

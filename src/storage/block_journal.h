@@ -26,7 +26,9 @@
 
 namespace ficus::storage {
 
-constexpr uint32_t kJournalMagic = 0xF1C0A17E;
+// The intent-record magic also names its checksum function (ContentHash):
+// a new hash is a new format.
+constexpr uint32_t kJournalMagic = 0xF1C0A180;
 
 // One redo record: a home block and the image it must hold after commit.
 struct JournalRecord {

@@ -2,15 +2,14 @@
 // mutation and every reconciliation apply must invalidate exactly the
 // affected directory chain, so a lazily recomputed digest always equals a
 // from-scratch recomputation (ValidateDigestTree) and changes whenever
-// digest-relevant state changes. Also covers the persisted v2 directory
-// header (entry digest validated on every full parse, v1 files migrate on
-// first store), crash-reboot rebuild, and the facade transport.
+// digest-relevant state changes. Also covers the persisted directory
+// header (entry digest validated on every full parse), crash-reboot
+// rebuild, and the facade transport.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
-#include "src/common/serialize.h"
 #include "src/repl/facade.h"
 #include "src/repl/physical.h"
 #include "tests/repl/replica_fixture.h"
@@ -172,44 +171,6 @@ TEST_F(DigestTreeTest, RebootRebuildsIdenticalDigests) {
   ASSERT_TRUE(rebooted.Attach("vol_r1").ok());
   EXPECT_EQ(before, RootDigest(&rebooted));
   ExpectDigestsValid(&rebooted);
-}
-
-TEST_F(DigestTreeTest, V1DirectoryHeaderMigratesToV2OnStore) {
-  auto file = layer()->CreateChild(kRootFileId, "f", FicusFileType::kRegular, 0);
-  ASSERT_TRUE(file.ok());
-  uint64_t before = RootDigest(layer());
-  // Rewrite the root .dir with a v1 (pre-digest) header around the same
-  // entry body, as an upgrade from an older volume image would find it.
-  auto entries = layer()->ReadDirectory(kRootFileId);
-  ASSERT_TRUE(entries.ok());
-  auto container = stack_.ufs.DirLookup(ufs::kRootInode, "vol_r1");
-  ASSERT_TRUE(container.ok());
-  auto root_dir = stack_.ufs.DirLookup(*container, kRootFileId.ToHex());
-  ASSERT_TRUE(root_dir.ok());
-  auto dir_file = stack_.ufs.DirLookup(*root_dir, ".dir");
-  ASSERT_TRUE(dir_file.ok());
-  std::vector<uint8_t> v1;
-  ByteWriter w(v1);
-  w.PutU32(0xF1C0D1D0);  // kDirMagic (v1): u32 magic + u64 generation, no digest
-  w.PutU64(1000);
-  std::vector<uint8_t> body = SerializeDirEntries(entries.value());
-  v1.insert(v1.end(), body.begin(), body.end());
-  ASSERT_TRUE(stack_.ufs.WriteAll(*dir_file, v1).ok());
-
-  // A fresh layer must parse the v1 file (no digest to validate)...
-  PhysicalLayer upgraded(&stack_.ufs, &clock_);
-  ASSERT_TRUE(upgraded.Attach("vol_r1").ok());
-  EXPECT_EQ(before, RootDigest(&upgraded));
-  // ... and the first store rewrites it with the v2 digest header.
-  ASSERT_TRUE(upgraded.CreateChild(kRootFileId, "g", FicusFileType::kRegular, 0).ok());
-  auto raw = stack_.ufs.ReadAll(*dir_file);
-  ASSERT_TRUE(raw.ok());
-  ASSERT_GE(raw->size(), 4u);
-  uint32_t magic = static_cast<uint32_t>((*raw)[0]) | static_cast<uint32_t>((*raw)[1]) << 8 |
-                   static_cast<uint32_t>((*raw)[2]) << 16 |
-                   static_cast<uint32_t>((*raw)[3]) << 24;
-  EXPECT_EQ(magic, 0xF1C0D1D2u) << "store did not upgrade the header to v2";
-  ExpectDigestsValid(&upgraded);
 }
 
 TEST_F(DigestTreeTest, CorruptedCacheIsFlaggedAndHealsOnInvalidation) {

@@ -174,8 +174,8 @@ TEST_F(FacadeTest, BlockDigestsThroughProxy) {
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->file_size, payload.size());
   ASSERT_EQ(info->digests.size(), 2u);
-  EXPECT_EQ(info->digests[0], BlockDigest(payload.data(), kDeltaBlockSize));
-  EXPECT_EQ(info->digests[1], BlockDigest(payload.data() + kDeltaBlockSize, 100));
+  EXPECT_EQ(info->digests[0], ContentHash(payload.data(), kDeltaBlockSize));
+  EXPECT_EQ(info->digests[1], ContentHash(payload.data() + kDeltaBlockSize, 100));
   // Digests of a directory are refused through the same encoding.
   EXPECT_EQ(proxy->ReadBlockDigests(kRootFileId).status().code(), ErrorCode::kIsDir);
 }
@@ -255,7 +255,7 @@ TEST_F(FacadeOverNfsTest, BlockDigestsAndBatchedAttributesAcrossTheWire) {
   EXPECT_EQ(info->file_size, payload.size());
   ASSERT_EQ(info->digests.size(), 3u);
   for (uint64_t d : info->digests) {
-    EXPECT_EQ(d, BlockDigest(payload.data(), kDeltaBlockSize));
+    EXPECT_EQ(d, ContentHash(payload.data(), kDeltaBlockSize));
   }
 
   auto rows = proxy->BatchGetAttributes({*file, FileId{9, 9}});

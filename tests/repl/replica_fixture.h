@@ -101,13 +101,14 @@ class TestNotifier : public UpdateNotifier {
   uint64_t sent_ = 0;
 };
 
-// One replica's private storage stack + physical layer.
+// One replica's private storage stack + physical layer. `metrics`
+// (borrowed, optional) receives the layer's registry counters.
 struct ReplicaStack {
   explicit ReplicaStack(const SimClock* clock, VolumeId volume, ReplicaId replica,
-                        bool first)
+                        bool first, MetricRegistry* metrics = nullptr)
       : device(8192), cache(&device, 256), ufs(&cache, clock) {
     EXPECT_TRUE(ufs.Format(1024).ok());
-    layer = std::make_unique<PhysicalLayer>(&ufs, clock);
+    layer = std::make_unique<PhysicalLayer>(&ufs, clock, PhysicalOptions{}, metrics);
     EXPECT_TRUE(layer
                     ->CreateVolume(volume, replica, "vol_r" + std::to_string(replica), first)
                     .ok());
