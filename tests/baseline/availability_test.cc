@@ -59,8 +59,15 @@ TEST(MonteCarloTest, AgreesWithExact) {
 // The paper's headline claim (A1): one-copy availability strictly exceeds
 // every serializable policy's update availability for any 0 < p < 1 and
 // n > 1 — checked exactly across a parameter sweep.
+//
+// gtest prints a parameter that has no PrintTo byte by byte, and ctest names
+// each case after that print. The four bytes between `n` and `p` used to be
+// uninitialized padding, so the names changed from build to build; they are
+// spelled out here, with the values the cases were first listed under, so
+// every build names the cases the same way.
 struct SweepParam {
   int n;
+  unsigned char name_bytes[4];
   double p;
 };
 
@@ -92,9 +99,12 @@ TEST_P(DominanceSweep, OneCopyStrictlyDominatesUpdateAvailability) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DominanceSweep,
-    ::testing::Values(SweepParam{2, 0.5}, SweepParam{2, 0.9}, SweepParam{3, 0.5},
-                      SweepParam{3, 0.9}, SweepParam{3, 0.99}, SweepParam{5, 0.7},
-                      SweepParam{5, 0.95}, SweepParam{7, 0.9}, SweepParam{9, 0.8}));
+    ::testing::Values(SweepParam{2, {0x00, 0x00, 0xD0, 0xEF}, 0.5},
+                      SweepParam{2, {}, 0.9}, SweepParam{3, {}, 0.5},
+                      SweepParam{3, {0x03, 0x1E, 0x09, 0x00}, 0.9},
+                      SweepParam{3, {0x00, 0x00, 0xD0, 0xCA}, 0.99},
+                      SweepParam{5, {}, 0.7}, SweepParam{5, {}, 0.95},
+                      SweepParam{7, {}, 0.9}, SweepParam{9, {}, 0.8}));
 
 TEST(PartitionModelTest, PartitionsHurtQuorumMoreThanOneCopy) {
   Rng rng(SeedFromEnvOr(7, "availability.partition_model"));
