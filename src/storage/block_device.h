@@ -31,6 +31,9 @@ class BlockDevice {
  public:
   // Creates a device with block_count zeroed blocks.
   explicit BlockDevice(uint32_t block_count);
+  ~BlockDevice();
+  BlockDevice(const BlockDevice&) = delete;
+  BlockDevice& operator=(const BlockDevice&) = delete;
 
   uint32_t block_count() const { return block_count_; }
 
@@ -66,9 +69,18 @@ class BlockDevice {
   }
 
  private:
+  uint8_t* BlockData(BlockNum block) {
+    return blocks_ + static_cast<size_t>(block) * kBlockSize;
+  }
+
   mutable std::mutex mu_;
   uint32_t block_count_;
-  std::vector<std::vector<uint8_t>> blocks_;
+  // All blocks in one anonymous mapping (see the constructor): zero until
+  // written, resident once touched, consecutive blocks at consecutive
+  // addresses whatever state the heap is in.
+  void* mapping_ = nullptr;
+  size_t mapping_bytes_ = 0;
+  uint8_t* blocks_ = nullptr;
   DeviceStats stats_;
   bool crashed_ = false;
 };

@@ -1,5 +1,8 @@
 #include "src/storage/buffer_cache.h"
 
+#include <cstring>
+#include <iterator>
+
 namespace ficus::storage {
 
 BufferCache::BufferCache(BlockDevice* device, uint32_t capacity_blocks)
@@ -9,17 +12,27 @@ void BufferCache::Touch(std::list<Entry>::iterator it) {
   lru_.splice(lru_.begin(), lru_, it);
 }
 
+std::list<BufferCache::Entry>::iterator BufferCache::FrameLocked(BlockNum block) {
+  if (map_.size() < capacity_) {
+    lru_.push_front(Entry{block, {}});
+    map_[block] = lru_.begin();
+    return lru_.begin();
+  }
+  ++stats_.evictions;
+  auto victim = std::prev(lru_.end());
+  auto node = map_.extract(victim->block);
+  node.key() = block;
+  map_.insert(std::move(node));  // still maps to `victim`
+  victim->block = block;
+  Touch(victim);
+  return victim;
+}
+
 void BufferCache::InsertLocked(BlockNum block, const std::vector<uint8_t>& data) {
   if (capacity_ == 0) {
     return;
   }
-  lru_.push_front(Entry{block, data});
-  map_[block] = lru_.begin();
-  while (map_.size() > capacity_) {
-    ++stats_.evictions;
-    map_.erase(lru_.back().block);
-    lru_.pop_back();
-  }
+  FrameLocked(block)->data = data;  // a recycled buffer is the same size: no allocation
 }
 
 Status BufferCache::Read(BlockNum block, std::vector<uint8_t>& out) {
@@ -34,6 +47,29 @@ Status BufferCache::Read(BlockNum block, std::vector<uint8_t>& out) {
   ++stats_.misses;
   FICUS_RETURN_IF_ERROR(device_->Read(block, out));
   InsertLocked(block, out);
+  return OkStatus();
+}
+
+Status BufferCache::ReadRange(BlockNum block, size_t offset, size_t len, uint8_t* dst) {
+  if (offset > kBlockSize || len > kBlockSize - offset) {
+    return InvalidArgumentError("range exceeds the block");
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(block);
+  if (it != map_.end()) {
+    ++stats_.hits;
+    Touch(it->second);
+    std::memcpy(dst, it->second->data.data() + offset, len);
+    return OkStatus();
+  }
+  ++stats_.misses;
+  FICUS_RETURN_IF_ERROR(device_->Read(block, miss_));
+  std::memcpy(dst, miss_.data() + offset, len);
+  if (capacity_ != 0) {
+    // The block's bytes move into the cache by buffer swap; miss_ takes
+    // the recycled buffer for the next miss.
+    FrameLocked(block)->data.swap(miss_);
+  }
   return OkStatus();
 }
 

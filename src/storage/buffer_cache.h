@@ -33,6 +33,13 @@ class BufferCache {
   // Reads a block, serving from cache when possible.
   Status Read(BlockNum block, std::vector<uint8_t>& out);
 
+  // Copies `len` bytes starting `offset` bytes into a block to `dst`,
+  // serving from cache when possible. Counts exactly like Read, but copies
+  // only the bytes asked for and, once the cache is full, allocates
+  // nothing: the block path's cost then no longer depends on the state of
+  // the heap.
+  Status ReadRange(BlockNum block, size_t offset, size_t len, uint8_t* dst);
+
   // Write-through: updates the cache copy and the device.
   Status Write(BlockNum block, const std::vector<uint8_t>& data);
 
@@ -77,6 +84,12 @@ class BufferCache {
   };
 
   void Touch(std::list<Entry>::iterator it);
+  // The entry for `block`, which is not cached, placed at the front of the
+  // LRU. At capacity it is the least recently used entry, evicted and
+  // re-keyed: its list node, map node and buffer (still holding the old
+  // bytes) are reused, so a full cache allocates nothing on a miss.
+  std::list<Entry>::iterator FrameLocked(BlockNum block);
+  // Caches a copy of a block that is not cached yet.
   void InsertLocked(BlockNum block, const std::vector<uint8_t>& data);
 
   mutable std::mutex mu_;
@@ -84,6 +97,7 @@ class BufferCache {
   uint32_t capacity_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<BlockNum, std::list<Entry>::iterator> map_;
+  std::vector<uint8_t> miss_;  // ReadRange's device read buffer
   CacheStats stats_;
   uint64_t epoch_ = 0;
 };

@@ -407,9 +407,9 @@ StatusOr<bool> Ufs::BitmapGet(uint32_t base, uint32_t index) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   uint32_t block = base + index / (kBlockSize * 8);
   uint32_t bit = index % (kBlockSize * 8);
-  std::vector<uint8_t> data;
-  FICUS_RETURN_IF_ERROR(cache_->Read(block, data));
-  return (data[bit / 8] >> (bit % 8) & 1) != 0;
+  uint8_t byte = 0;
+  FICUS_RETURN_IF_ERROR(cache_->ReadRange(block, bit / 8, 1, &byte));
+  return (byte >> (bit % 8) & 1) != 0;
 }
 
 Status Ufs::BitmapSet(uint32_t base, uint32_t index, bool value) {
@@ -496,10 +496,10 @@ StatusOr<Inode> Ufs::ReadInode(InodeNum ino) {
   }
   uint32_t block = sb_.inode_table_start + ino / kInodesPerBlock;
   uint32_t offset = (ino % kInodesPerBlock) * kInodeSize;
-  std::vector<uint8_t> data;
-  FICUS_RETURN_IF_ERROR(cache_->Read(block, data));
+  uint8_t raw[kInodeSize] = {};
+  FICUS_RETURN_IF_ERROR(cache_->ReadRange(block, offset, kInodeSize, raw));
   Inode inode;
-  FICUS_RETURN_IF_ERROR(DeserializeInode(data.data() + offset, inode));
+  FICUS_RETURN_IF_ERROR(DeserializeInode(raw, inode));
   return inode;
 }
 
@@ -559,6 +559,13 @@ Status Ufs::FreeBlock(uint32_t block) {
   return WriteSuperBlock();
 }
 
+StatusOr<uint32_t> Ufs::ReadPointer(uint32_t block, uint32_t index) {
+  uint32_t entry = 0;
+  FICUS_RETURN_IF_ERROR(cache_->ReadRange(block, index * sizeof(entry), sizeof(entry),
+                                          reinterpret_cast<uint8_t*>(&entry)));
+  return entry;
+}
+
 StatusOr<uint32_t> Ufs::MapBlock(Inode& inode, uint32_t file_block, bool allocate, bool& dirty) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (file_block < kDirectBlocks) {
@@ -581,6 +588,9 @@ StatusOr<uint32_t> Ufs::MapBlock(Inode& inode, uint32_t file_block, bool allocat
       FICUS_ASSIGN_OR_RETURN(uint32_t block, AllocBlock());
       inode.indirect = block;
       dirty = true;
+    }
+    if (!allocate) {
+      return ReadPointer(inode.indirect, indirect_index);
     }
     std::vector<uint8_t> pointers;
     FICUS_RETURN_IF_ERROR(cache_->Read(inode.indirect, pointers));
@@ -608,6 +618,13 @@ StatusOr<uint32_t> Ufs::MapBlock(Inode& inode, uint32_t file_block, bool allocat
     FICUS_ASSIGN_OR_RETURN(uint32_t block, AllocBlock());
     inode.double_indirect = block;
     dirty = true;
+  }
+  if (!allocate) {
+    FICUS_ASSIGN_OR_RETURN(uint32_t l2_block, ReadPointer(inode.double_indirect, l1_index));
+    if (l2_block == 0) {
+      return uint32_t{0};
+    }
+    return ReadPointer(l2_block, l2_index);
   }
   std::vector<uint8_t> l1;
   FICUS_RETURN_IF_ERROR(cache_->Read(inode.double_indirect, l1));
@@ -655,13 +672,10 @@ StatusOr<size_t> Ufs::ReadAt(InodeNum ino, uint64_t offset, size_t length,
     uint32_t in_block = static_cast<uint32_t>(pos % kBlockSize);
     size_t chunk = std::min<size_t>(count - produced, kBlockSize - in_block);
     FICUS_ASSIGN_OR_RETURN(uint32_t device_block, MapBlock(inode, file_block, false, dirty));
-    if (device_block == 0) {
-      // Hole: zero-fill.
-      out.insert(out.end(), chunk, 0);
-    } else {
-      std::vector<uint8_t> data;
-      FICUS_RETURN_IF_ERROR(cache_->Read(device_block, data));
-      out.insert(out.end(), data.begin() + in_block, data.begin() + in_block + chunk);
+    out.resize(produced + chunk);  // zeros, which is what a hole reads as
+    if (device_block != 0) {
+      FICUS_RETURN_IF_ERROR(
+          cache_->ReadRange(device_block, in_block, chunk, out.data() + produced));
     }
     produced += chunk;
   }

@@ -302,6 +302,9 @@ class Ufs {
 
   // Maps a file block ordinal to a device block, optionally allocating.
   StatusOr<uint32_t> MapBlock(Inode& inode, uint32_t file_block, bool allocate, bool& dirty);
+  // Entry `index` of the pointer block `block`, read without copying the
+  // rest of the block.
+  StatusOr<uint32_t> ReadPointer(uint32_t block, uint32_t index);
 
   // --- parsed-directory index ---
   // Every DirLookup/DirAdd/DirRemove used to re-read and re-parse the

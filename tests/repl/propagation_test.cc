@@ -225,6 +225,33 @@ TEST_F(PropagationTest, DeltaPullFetchesOnlyDifferingBlocks) {
   EXPECT_EQ(stats.whole_file_fallbacks, 0u);
 }
 
+// The pull assembles the new version in place over the local copy, so a
+// remote that grew or shrank must leave exactly the remote bytes: the
+// zero-extended or cut tail block differs in length and is fetched.
+TEST_F(PropagationTest, DeltaPullAssemblesOverALocalCopyOfAnotherSize) {
+  FileId file = SharedFile();
+  ASSERT_TRUE(layer(0)->WriteData(file, 0, std::vector<uint8_t>(128 * 1024, 'x')).ok());
+  ReconcileAll();
+
+  const uint64_t grown = 128 * 1024;
+  ASSERT_TRUE(layer(0)->WriteData(file, grown, std::vector<uint8_t>(1000, 'z')).ok());
+  NotifyReplica2(file);
+  ASSERT_TRUE(daemon1_->RunOnce().ok());
+  EXPECT_EQ(layer(1)->ReadAllData(file).value(), layer(0)->ReadAllData(file).value());
+  EXPECT_EQ(daemon1_->stats().bytes_pulled, 1000u);
+
+  const uint64_t shrunk = 100 * 1024 + 10;
+  ASSERT_TRUE(layer(0)->TruncateData(file, shrunk).ok());
+  NotifyReplica2(file);
+  ASSERT_TRUE(daemon1_->RunOnce().ok());
+  auto got = layer(1)->ReadAllData(file);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->size(), shrunk);
+  EXPECT_EQ(got.value(), layer(0)->ReadAllData(file).value());
+  EXPECT_EQ(daemon1_->stats().bytes_pulled, 1000u + 10u);  // just the cut tail block
+  EXPECT_EQ(daemon1_->stats().whole_file_fallbacks, 0u);
+}
+
 TEST_F(PropagationTest, SmallFilePullSkipsDeltaMachinery) {
   // Below delta_min_bytes the daemon must not even ask for digests — it
   // goes straight to the whole-file read and counts the fallback.

@@ -22,6 +22,21 @@ TEST(BlockDeviceTest, WriteThenReadRoundTrips) {
   EXPECT_EQ(data, Block(0xAB));
 }
 
+TEST(BlockDeviceTest, EveryBlockKeepsItsOwnContents) {
+  const uint32_t blocks = 1200;  // spans more than one 2 MiB huge page
+  BlockDevice device(blocks);
+  std::vector<uint8_t> data;
+  ASSERT_TRUE(device.Read(blocks - 1, data).ok());
+  EXPECT_EQ(data, Block(0));
+  for (uint32_t b = 0; b < blocks; b += 7) {
+    ASSERT_TRUE(device.Write(b, Block(static_cast<uint8_t>(b % 251))).ok());
+  }
+  for (uint32_t b = 0; b < blocks; ++b) {
+    ASSERT_TRUE(device.Read(b, data).ok());
+    EXPECT_EQ(data, Block(b % 7 == 0 ? static_cast<uint8_t>(b % 251) : 0)) << "block " << b;
+  }
+}
+
 TEST(BlockDeviceTest, OutOfRangeAccessFails) {
   BlockDevice device(4);
   std::vector<uint8_t> data;

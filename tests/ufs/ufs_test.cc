@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace ficus::ufs {
 namespace {
 
@@ -130,6 +132,44 @@ TEST_F(UfsTest, DoubleIndirectRoundTrip) {
   std::vector<uint8_t> got;
   ASSERT_TRUE(ufs_.ReadAt(*ino, boundary - storage::kBlockSize, payload.size(), got).ok());
   EXPECT_EQ(got, payload);
+  ExpectClean();
+}
+
+// Reads fetch only the bytes they need from each data and pointer block;
+// every kind of hole must still read as zeros: an empty direct pointer,
+// an empty single-indirect entry, and a missing second-level pointer
+// block under the double-indirect one.
+TEST_F(UfsTest, SparseReadsSeeZerosInEveryKindOfHole) {
+  auto ino = ufs_.CreateFile(kRootInode, "sparse", FileType::kRegular, 0644, 0, 0);
+  ASSERT_TRUE(ino.ok());
+  const uint64_t deep_block = kDirectBlocks + kPointersPerBlock + 2 * kPointersPerBlock + 5;
+  std::vector<uint8_t> model((deep_block + 1) * storage::kBlockSize, 0);
+  auto write = [&](uint64_t offset, size_t length, uint8_t seed) {
+    std::vector<uint8_t> bytes(length);
+    for (size_t i = 0; i < length; ++i) {
+      bytes[i] = static_cast<uint8_t>(i * 13 + seed);
+    }
+    ASSERT_TRUE(ufs_.WriteAt(*ino, offset, bytes).ok());
+    std::copy(bytes.begin(), bytes.end(), model.begin() + static_cast<ptrdiff_t>(offset));
+  };
+  write(3 * storage::kBlockSize + 10, 100, 1);                      // direct, unaligned
+  write((kDirectBlocks + 7) * storage::kBlockSize - 50, 100, 2);    // single-indirect, straddling
+  write(deep_block * storage::kBlockSize, storage::kBlockSize, 3);  // double-indirect, l1 entry 2
+
+  auto all = ufs_.ReadAll(*ino);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all.value(), model);
+  const uint64_t boundary =
+      static_cast<uint64_t>(kDirectBlocks + kPointersPerBlock) * storage::kBlockSize;
+  for (uint64_t offset : {uint64_t{0}, uint64_t{3 * storage::kBlockSize + 60}, boundary - 77,
+                          deep_block * storage::kBlockSize - 5}) {
+    std::vector<uint8_t> got;
+    ASSERT_TRUE(ufs_.ReadAt(*ino, offset, 3 * storage::kBlockSize, got).ok());
+    const size_t length = std::min<size_t>(3 * storage::kBlockSize, model.size() - offset);
+    ASSERT_EQ(got.size(), length);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), model.begin() + static_cast<ptrdiff_t>(offset)))
+        << "read at " << offset;
+  }
   ExpectClean();
 }
 
