@@ -10,6 +10,7 @@
 #include <string_view>
 #include <utility>
 #include <variant>
+#include <vector>
 
 namespace ficus {
 
@@ -129,6 +130,17 @@ class StatusOr {
  private:
   std::variant<Status, T> rep_;
 };
+
+// The one result of a batch call made with a single input, so that a
+// single-item operation can be a plain delegation to its batch form.
+template <typename T>
+StatusOr<T> OnlyResult(StatusOr<std::vector<T>> batch) {
+  if (!batch.ok()) {
+    return batch.status();
+  }
+  assert(batch->size() == 1 && "OnlyResult of a batch that is not one item");
+  return std::move(batch->front());
+}
 
 // Propagate a non-ok Status from an expression.
 #define FICUS_RETURN_IF_ERROR(expr)          \

@@ -22,8 +22,9 @@ constexpr uint32_t kMetaMagic = 0xF1C0501D;
 // order-independent digest of the entry set, so a stale or corrupted
 // parsed-directory image is detectable on load the same way a stale
 // cached parse is detectable by generation. The magic (v3) also names the
-// digest function, ContentHash: a new hash is a new format. Freshly
-// created empty directories are header-less until their first store.
+// digest function, ContentHash: a new hash is a new format. A directory
+// file carries its header from birth (generation 0); one without it is
+// corrupt.
 constexpr uint32_t kDirMagic = 0xF1C0D1D3;
 constexpr size_t kDirHeaderSize = 20;  // u32 magic + u64 generation + u64 entry digest
 // Folded in place of a child's subtree digest when the descent revisits a
@@ -76,6 +77,69 @@ StatusOr<size_t> FindAliveByPresentedName(const std::vector<FicusDirEntry>& entr
     }
   }
   return NotFoundError(std::string(name));
+}
+
+// Digest of one directory's raw entry set (order-independent).
+uint64_t EntrySetDigest(const std::vector<FicusDirEntry>& entries) {
+  uint64_t set = 0;
+  std::vector<uint8_t> scratch;
+  for (const auto& e : entries) {
+    scratch.clear();
+    ByteWriter w(scratch);
+    e.Serialize(w);
+    set = DigestAddElement(set, ContentHash(scratch.data(), scratch.size()));
+  }
+  return set;
+}
+
+// A whole directory file: header at `generation`, then the entries.
+std::vector<uint8_t> EncodeDirFile(uint64_t generation,
+                                   const std::vector<FicusDirEntry>& entries) {
+  std::vector<uint8_t> bytes;
+  ByteWriter w(bytes);
+  w.PutU32(kDirMagic);
+  w.PutU64(generation);
+  w.PutU64(EntrySetDigest(entries));
+  std::vector<uint8_t> body = SerializeDirEntries(entries);
+  bytes.insert(bytes.end(), body.begin(), body.end());
+  return bytes;
+}
+
+struct DirHeader {
+  uint64_t generation = 0;
+  uint64_t entry_digest = 0;
+};
+
+// The header at the front of `bytes`: a whole directory file or just its
+// first kDirHeaderSize bytes.
+StatusOr<DirHeader> DecodeDirHeader(const std::vector<uint8_t>& bytes) {
+  ByteReader r(bytes);
+  auto magic = r.GetU32();
+  if (!magic.ok() || magic.value() != kDirMagic) {
+    return CorruptError("directory file lacks its header");
+  }
+  DirHeader header;
+  FICUS_ASSIGN_OR_RETURN(header.generation, r.GetU64());
+  FICUS_ASSIGN_OR_RETURN(header.entry_digest, r.GetU64());
+  return header;
+}
+
+// The entries of a whole directory file, checked against its header.
+StatusOr<std::vector<FicusDirEntry>> DecodeDirFile(const std::vector<uint8_t>& bytes) {
+  FICUS_ASSIGN_OR_RETURN(DirHeader header, DecodeDirHeader(bytes));
+  std::vector<uint8_t> body(bytes.begin() + static_cast<std::ptrdiff_t>(kDirHeaderSize),
+                            bytes.end());
+  FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> entries, DeserializeDirEntries(body));
+  if (EntrySetDigest(entries) != header.entry_digest) {
+    return CorruptError("entry digest mismatch (stale or damaged directory file)");
+  }
+  return entries;
+}
+
+StatusOr<DirHeader> ReadDirHeader(ufs::Ufs* ufs, ufs::InodeNum ino) {
+  std::vector<uint8_t> header;
+  FICUS_RETURN_IF_ERROR(ufs->ReadAt(ino, 0, kDirHeaderSize, header).status());
+  return DecodeDirHeader(header);
 }
 
 // ContentHash of each kDeltaBlockSize block of data[0, size) (the last
@@ -196,27 +260,11 @@ Status PhysicalLayer::CreateVolume(const VolumeId& volume, ReplicaId replica,
   (void)meta;
   FICUS_RETURN_IF_ERROR(PersistMeta());
 
-  // Ficus root directory storage.
-  FICUS_ASSIGN_OR_RETURN(ufs::InodeNum root_dir,
-                         ufs_->CreateFile(container_, kRootFileId.ToHex(),
-                                          ufs::FileType::kDirectory, 0755, 0, 0));
-  FICUS_ASSIGN_OR_RETURN(ufs::InodeNum dir_file,
-                         ufs_->CreateFile(root_dir, kDirFile, ufs::FileType::kRegular, 0600,
-                                          0, 0));
-  FICUS_RETURN_IF_ERROR(ufs_->WriteAll(dir_file, SerializeDirEntries({})));
-  ReplicaAttributes attrs;
-  attrs.id = GlobalFileId{volume_, kRootFileId};
-  attrs.type = FicusFileType::kDirectory;
-  attrs.mtime = Now();
+  VersionVector root_vv;
   if (first_replica) {
-    attrs.vv.Increment(replica_);
+    root_vv.Increment(replica_);
   }
-  if (options_.attr_placement == AttrPlacement::kAuxFile) {
-    FICUS_RETURN_IF_ERROR(
-        ufs_->CreateFile(root_dir, kAttrFile, ufs::FileType::kRegular, 0600, 0, 0).status());
-  }
-  locations_[kRootFileId] = Location{container_, root_dir, FicusFileType::kDirectory};
-  return StoreAttributes(kRootFileId, attrs);
+  return CreateStorage(container_, {kRootFileId}, FicusFileType::kDirectory, 0, root_vv);
 }
 
 Status PhysicalLayer::Attach(std::string_view container_name) {
@@ -410,48 +458,26 @@ StatusOr<std::vector<FicusDirEntry>> PhysicalLayer::LoadDirEntries(FileId dir) {
     return NotDirError("file " + dir.ToString() + " is not a directory");
   }
   FICUS_ASSIGN_OR_RETURN(ufs::InodeNum ino, ufs_->DirLookup(loc.self_dir, kDirFile));
-
-  // Peek at the header: a matching generation validates the cached parse.
-  std::vector<uint8_t> header;
-  FICUS_RETURN_IF_ERROR(ufs_->ReadAt(ino, 0, kDirHeaderSize, header).status());
-  uint64_t generation = 0;
-  uint64_t stored_digest = 0;
-  bool has_header = false;  // false = fresh header-less empty directory
-  if (header.size() == kDirHeaderSize) {
-    ByteReader hr(header);
-    FICUS_ASSIGN_OR_RETURN(uint32_t magic, hr.GetU32());
-    if (magic == kDirMagic) {
-      FICUS_ASSIGN_OR_RETURN(generation, hr.GetU64());
-      FICUS_ASSIGN_OR_RETURN(stored_digest, hr.GetU64());
-      has_header = true;
-    }
-  }
-  if (has_header) {
-    auto it = dir_cache_.find(dir);
-    if (it != dir_cache_.end() && it->second.generation == generation) {
-      stats_.dir_cache_hits->Increment();
-      return it->second.entries;
-    }
+  // The header alone validates a cached parse: one small read.
+  FICUS_ASSIGN_OR_RETURN(DirHeader header, ReadDirHeader(ufs_, ino));
+  auto it = dir_cache_.find(dir);
+  if (it != dir_cache_.end() && it->second.generation == header.generation) {
+    stats_.dir_cache_hits->Increment();
+    return it->second.entries;
   }
   stats_.dir_cache_misses->Increment();
-
   FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ufs_->ReadAll(ino));
-  std::vector<uint8_t> body;
-  if (has_header) {
-    body.assign(bytes.begin() + static_cast<std::ptrdiff_t>(kDirHeaderSize), bytes.end());
-  } else {
-    body = std::move(bytes);
-  }
-  FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> entries, DeserializeDirEntries(body));
-  if (has_header && EntrySetDigest(entries) != stored_digest) {
-    return CorruptError("directory " + dir.ToString() +
-                        ": entry digest mismatch (stale or damaged directory file)");
-  }
+  FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> entries, DecodeDirFile(bytes));
+  CacheDir(dir, header.generation, entries);
+  return entries;
+}
+
+void PhysicalLayer::CacheDir(FileId dir, uint64_t generation,
+                             const std::vector<FicusDirEntry>& entries) {
   if (dir_cache_.size() >= kMaxCachedDirs) {
     dir_cache_.erase(dir_cache_.begin());
   }
   dir_cache_[dir] = CachedDir{generation, entries};
-  return entries;
 }
 
 Status PhysicalLayer::StoreDirEntries(FileId dir, const std::vector<FicusDirEntry>& entries) {
@@ -459,36 +485,16 @@ Status PhysicalLayer::StoreDirEntries(FileId dir, const std::vector<FicusDirEntr
   FICUS_ASSIGN_OR_RETURN(Location loc, Find(dir));
   FICUS_ASSIGN_OR_RETURN(ufs::InodeNum ino, ufs_->DirLookup(loc.self_dir, kDirFile));
   // Next generation: one past whatever is cached or on disk.
-  uint64_t generation = 1;
+  uint64_t generation = 0;
   auto cached = dir_cache_.find(dir);
   if (cached != dir_cache_.end()) {
     generation = cached->second.generation + 1;
   } else {
-    std::vector<uint8_t> header;
-    FICUS_RETURN_IF_ERROR(ufs_->ReadAt(ino, 0, kDirHeaderSize, header).status());
-    if (header.size() == kDirHeaderSize) {
-      ByteReader hr(header);
-      auto magic = hr.GetU32();
-      if (magic.ok() && magic.value() == kDirMagic) {
-        auto old_gen = hr.GetU64();
-        if (old_gen.ok()) {
-          generation = old_gen.value() + 1;
-        }
-      }
-    }
+    FICUS_ASSIGN_OR_RETURN(DirHeader header, ReadDirHeader(ufs_, ino));
+    generation = header.generation + 1;
   }
-  std::vector<uint8_t> bytes;
-  ByteWriter w(bytes);
-  w.PutU32(kDirMagic);
-  w.PutU64(generation);
-  w.PutU64(EntrySetDigest(entries));
-  std::vector<uint8_t> body = SerializeDirEntries(entries);
-  bytes.insert(bytes.end(), body.begin(), body.end());
-  FICUS_RETURN_IF_ERROR(ufs_->WriteAll(ino, bytes));
-  if (dir_cache_.size() >= kMaxCachedDirs) {
-    dir_cache_.erase(dir_cache_.begin());
-  }
-  dir_cache_[dir] = CachedDir{generation, entries};
+  FICUS_RETURN_IF_ERROR(ufs_->WriteAll(ino, EncodeDirFile(generation, entries)));
+  CacheDir(dir, generation, entries);
   // Keep the digest tree honest: every child named here hangs off this
   // directory for rollup purposes, and this directory's summary (plus
   // every ancestor's) is now stale.
@@ -534,46 +540,55 @@ StatusOr<bool> PhysicalLayer::SubtreeContains(FileId root, FileId candidate) {
   return false;
 }
 
-Status PhysicalLayer::CreateStorage(FileId dir, FileId file, FicusFileType type,
-                                    uint32_t owner_uid, const VersionVector& vv) {
+Status PhysicalLayer::CreateStorage(ufs::InodeNum parent, const std::vector<FileId>& files,
+                                    FicusFileType type, uint32_t owner_uid,
+                                    const VersionVector& vv) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_ASSIGN_OR_RETURN(Location dir_loc, Find(dir));
-  if (!IsDirectoryLike(dir_loc.type)) {
-    return NotDirError("parent is not a directory");
+  const bool aux = options_.attr_placement == AttrPlacement::kAuxFile;
+  const bool is_dir = IsDirectoryLike(type);
+  // 1. One rewrite of `parent` adds every data file, every file's aux
+  //    attribute file and every child UFS directory.
+  std::vector<std::string> names;
+  names.reserve(files.size() * 2);
+  for (FileId file : files) {
+    names.push_back(file.ToHex());
+    if (aux && !is_dir) {
+      names.push_back(file.ToHex() + kAttrSuffix);
+    }
   }
+  FICUS_ASSIGN_OR_RETURN(
+      std::vector<ufs::InodeNum> created,
+      ufs_->CreateFiles(parent, names,
+                        is_dir ? ufs::FileType::kDirectory : ufs::FileType::kRegular,
+                        is_dir ? 0755 : 0644, owner_uid, 0));
+  // 2. Each new directory gets its directory file, header included, and
+  //    its aux attribute file.
+  std::vector<std::string> inside = {kDirFile};
+  if (aux) {
+    inside.push_back(kAttrFile);
+  }
+  for (size_t i = 0; i < files.size(); ++i) {
+    ufs::InodeNum self = ufs::kInvalidInode;
+    if (is_dir) {
+      self = created[i];
+      FICUS_ASSIGN_OR_RETURN(
+          std::vector<ufs::InodeNum> own,
+          ufs_->CreateFiles(self, inside, ufs::FileType::kRegular, 0600, 0, 0));
+      FICUS_RETURN_IF_ERROR(ufs_->WriteAll(own[0], EncodeDirFile(0, {})));
+    }
+    locations_[files[i]] = Location{parent, self, type};
+  }
+  // 3. The attributes.
   ReplicaAttributes attrs;
-  attrs.id = GlobalFileId{volume_, file};
   attrs.type = type;
   attrs.vv = vv;
   attrs.owner_uid = owner_uid;
   attrs.mtime = Now();
-
-  bool aux = options_.attr_placement == AttrPlacement::kAuxFile;
-  if (IsDirectoryLike(type)) {
-    FICUS_ASSIGN_OR_RETURN(ufs::InodeNum self,
-                           ufs_->CreateFile(dir_loc.self_dir, file.ToHex(),
-                                            ufs::FileType::kDirectory, 0755, owner_uid, 0));
-    FICUS_ASSIGN_OR_RETURN(ufs::InodeNum dir_file,
-                           ufs_->CreateFile(self, kDirFile, ufs::FileType::kRegular, 0600, 0,
-                                            0));
-    FICUS_RETURN_IF_ERROR(ufs_->WriteAll(dir_file, SerializeDirEntries({})));
-    if (aux) {
-      FICUS_RETURN_IF_ERROR(
-          ufs_->CreateFile(self, kAttrFile, ufs::FileType::kRegular, 0600, 0, 0).status());
-    }
-    locations_[file] = Location{dir_loc.self_dir, self, type};
-  } else {
-    FICUS_RETURN_IF_ERROR(ufs_->CreateFile(dir_loc.self_dir, file.ToHex(),
-                                           ufs::FileType::kRegular, 0644, owner_uid, 0)
-                              .status());
-    if (aux) {
-      FICUS_RETURN_IF_ERROR(ufs_->CreateFile(dir_loc.self_dir, file.ToHex() + kAttrSuffix,
-                                             ufs::FileType::kRegular, 0600, 0, 0)
-                                .status());
-    }
-    locations_[file] = Location{dir_loc.self_dir, ufs::kInvalidInode, type};
+  for (FileId file : files) {
+    attrs.id = GlobalFileId{volume_, file};
+    FICUS_RETURN_IF_ERROR(StoreAttributes(file, attrs));
   }
-  return StoreAttributes(file, attrs);
+  return OkStatus();
 }
 
 Status PhysicalLayer::BumpDirVersion(FileId dir) {
@@ -764,9 +779,6 @@ StatusOr<bool> PhysicalLayer::TryDeltaCommit(FileId file, const Location& loc,
                                              const VersionVector& vv,
                                              const std::vector<uint64_t>& digests) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (!ufs_->journal_enabled() || contents.size() < options_.commit_min_bytes) {
-    return false;
-  }
   auto ino_or = ufs_->DirLookup(loc.parent_dir, file.ToHex());
   if (!ino_or.ok()) {
     return false;  // no local data file yet: the shadow path creates one
@@ -774,7 +786,7 @@ StatusOr<bool> PhysicalLayer::TryDeltaCommit(FileId file, const Location& loc,
   ufs::InodeNum ino = ino_or.value();
   FICUS_ASSIGN_OR_RETURN(ufs::Inode inode, ufs_->ReadInode(ino));
   const uint64_t total_blocks = DeltaBlockCount(contents.size());
-  if (total_blocks == 0 || total_blocks != DeltaBlockCount(inode.size)) {
+  if (total_blocks != DeltaBlockCount(inode.size)) {
     return false;  // block count changes: whole-file rewrite territory
   }
 
@@ -797,14 +809,18 @@ StatusOr<bool> PhysicalLayer::TryDeltaCommit(FileId file, const Location& loc,
   attrs.mtime = Now();
   if (dirty.empty() && contents.size() == inode.size) {
     // Same bytes, newer version vector (a propagation re-install): only
-    // the attributes move, and that single store is already atomic.
+    // the attributes move, and that single store is already atomic —
+    // whatever the file's size, and with or without a journal.
     digest_cache_.erase(file);
     FICUS_RETURN_IF_ERROR(StoreAttributes(file, attrs));
     return true;
   }
-  if (static_cast<double>(dirty.size()) >
-      options_.commit_max_dirty_frac * static_cast<double>(total_blocks)) {
-    return false;  // mostly-rewritten file: shadow's sequential clone wins
+  // The remaining gates only choose between the two commit paths.
+  if (!ufs_->journal_enabled() || contents.size() < options_.commit_min_bytes ||
+      total_blocks == 0 ||
+      static_cast<double>(dirty.size()) >
+          options_.commit_max_dirty_frac * static_cast<double>(total_blocks)) {
+    return false;  // small or mostly-rewritten file: shadow's sequential clone wins
   }
 
   std::vector<uint8_t> ext;
@@ -1015,30 +1031,7 @@ StatusOr<std::vector<DirEntryPlus>> PhysicalLayer::ReadDirPlus(FileId dir) {
 
 StatusOr<FileId> PhysicalLayer::CreateChild(FileId dir, std::string_view name,
                                             FicusFileType type, uint32_t owner_uid) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_RETURN_IF_ERROR(CheckAttached());
-  FICUS_RETURN_IF_ERROR(ValidateEntryName(name));
-  FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> entries, LoadDirEntries(dir));
-  if (FindAliveByPresentedName(entries, name).ok()) {
-    return ExistsError(std::string(name));
-  }
-  FileId file{replica_, next_unique_++};
-  FICUS_RETURN_IF_ERROR(PersistMeta());
-  VersionVector file_vv;
-  file_vv.Increment(replica_);
-  FICUS_RETURN_IF_ERROR(CreateStorage(dir, file, type, owner_uid, file_vv));
-
-  FicusDirEntry entry;
-  entry.name = std::string(name);
-  entry.file = file;
-  entry.type = type;
-  entry.alive = true;
-  entry.vv.Increment(replica_);
-  entries.push_back(std::move(entry));
-  FICUS_RETURN_IF_ERROR(StoreDirEntries(dir, entries));
-  ++alive_refs_[file];
-  FICUS_RETURN_IF_ERROR(BumpDirVersion(dir));
-  return file;
+  return OnlyResult(CreateChildren(dir, {std::string(name)}, type, owner_uid));
 }
 
 StatusOr<std::vector<FileId>> PhysicalLayer::CreateChildren(
@@ -1046,91 +1039,80 @@ StatusOr<std::vector<FileId>> PhysicalLayer::CreateChildren(
     uint32_t owner_uid) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_RETURN_IF_ERROR(CheckAttached());
-  FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> entries, LoadDirEntries(dir));
-  // Validate the whole batch before touching storage so a bad name at
-  // position k does not leave k-1 stray files behind.
-  std::unordered_set<std::string> taken;
-  for (FicusDirEntry& entry : PresentEntries(entries)) {
-    if (entry.alive) {
-      taken.insert(std::move(entry.name));
-    }
-  }
+  // Check the whole batch before touching storage, so a bad name at
+  // position k does not leave k-1 stray files behind: one pass over the
+  // presented entries against the set of new names.
+  std::unordered_set<std::string_view> fresh;
   for (const std::string& name : names) {
     FICUS_RETURN_IF_ERROR(ValidateEntryName(name));
-    if (!taken.insert(name).second) {
+    if (!fresh.insert(name).second) {
       return ExistsError(name);
+    }
+  }
+  FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> entries, LoadDirEntries(dir));
+  for (const FicusDirEntry& e : PresentEntries(entries)) {
+    if (e.alive && fresh.count(e.name) != 0) {
+      return ExistsError(e.name);
     }
   }
   // Reserve the whole id range up front (one meta write) so a crash
   // mid-batch cannot recycle an id a created file already carries.
-  const uint32_t first_unique = next_unique_;
-  next_unique_ += static_cast<uint32_t>(names.size());
-  FICUS_RETURN_IF_ERROR(PersistMeta());
   std::vector<FileId> created;
   created.reserve(names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    created.push_back(FileId{replica_, next_unique_++});
+  }
+  FICUS_RETURN_IF_ERROR(PersistMeta());
+  VersionVector vv;
+  vv.Increment(replica_);
+  FICUS_ASSIGN_OR_RETURN(Location loc, Find(dir));
+  FICUS_RETURN_IF_ERROR(CreateStorage(loc.self_dir, created, type, owner_uid, vv));
   entries.reserve(entries.size() + names.size());
-  if (!IsDirectoryLike(type)) {
-    // Batched storage path: allocate every backing ufs file with one
-    // directory rewrite instead of one per child. Per-child CreateStorage
-    // calls ufs CreateFile, which rewrites the whole backing directory
-    // each time — populating an N-file directory that way is O(N^2).
-    FICUS_ASSIGN_OR_RETURN(Location dir_loc, Find(dir));
-    if (!IsDirectoryLike(dir_loc.type)) {
-      return NotDirError("parent is not a directory");
-    }
-    const bool aux = options_.attr_placement == AttrPlacement::kAuxFile;
-    std::vector<std::string> ufs_names;
-    ufs_names.reserve(names.size() * (aux ? 2 : 1));
-    for (size_t i = 0; i < names.size(); ++i) {
-      FileId file{replica_, first_unique + static_cast<uint32_t>(i)};
-      ufs_names.push_back(file.ToHex());
-      if (aux) {
-        ufs_names.push_back(file.ToHex() + kAttrSuffix);
-      }
-    }
-    FICUS_RETURN_IF_ERROR(ufs_->CreateFiles(dir_loc.self_dir, ufs_names,
-                                            ufs::FileType::kRegular, 0644, owner_uid, 0)
-                              .status());
-    for (size_t i = 0; i < names.size(); ++i) {
-      FileId file{replica_, first_unique + static_cast<uint32_t>(i)};
-      locations_[file] = Location{dir_loc.self_dir, ufs::kInvalidInode, type};
-      ReplicaAttributes attrs;
-      attrs.id = GlobalFileId{volume_, file};
-      attrs.type = type;
-      attrs.vv.Increment(replica_);
-      attrs.owner_uid = owner_uid;
-      attrs.mtime = Now();
-      FICUS_RETURN_IF_ERROR(StoreAttributes(file, attrs));
-      FicusDirEntry entry;
-      entry.name = names[i];
-      entry.file = file;
-      entry.type = type;
-      entry.alive = true;
-      entry.vv.Increment(replica_);
-      entries.push_back(std::move(entry));
-      ++alive_refs_[file];
-      created.push_back(file);
-    }
-  } else {
-    for (size_t i = 0; i < names.size(); ++i) {
-      FileId file{replica_, first_unique + static_cast<uint32_t>(i)};
-      VersionVector file_vv;
-      file_vv.Increment(replica_);
-      FICUS_RETURN_IF_ERROR(CreateStorage(dir, file, type, owner_uid, file_vv));
-      FicusDirEntry entry;
-      entry.name = names[i];
-      entry.file = file;
-      entry.type = type;
-      entry.alive = true;
-      entry.vv.Increment(replica_);
-      entries.push_back(std::move(entry));
-      ++alive_refs_[file];
-      created.push_back(file);
-    }
+  for (size_t i = 0; i < names.size(); ++i) {
+    entries.push_back(FicusDirEntry{names[i], created[i], type, true, vv, VersionVector()});
   }
   FICUS_RETURN_IF_ERROR(StoreDirEntries(dir, entries));
+  for (FileId file : created) {
+    ++alive_refs_[file];
+  }
   FICUS_RETURN_IF_ERROR(BumpDirVersion(dir));
   return created;
+}
+
+void PhysicalLayer::BindName(std::vector<FicusDirEntry>& entries, std::string_view name,
+                             FileId file, FicusFileType type, const VersionVector& vv) {
+  for (auto& e : entries) {
+    if (e.name == name && e.file == file) {
+      e.alive = true;
+      e.type = type;
+      e.vv.Increment(replica_);
+      // The old deleter's content judgement no longer applies to a live
+      // entry; a stale one would diverge from peers that recreate afresh.
+      e.deleted_file_vv = VersionVector();
+      return;
+    }
+  }
+  FicusDirEntry entry{std::string(name), file, type, true, vv, VersionVector()};
+  entry.vv.Increment(replica_);
+  entries.push_back(std::move(entry));
+}
+
+void PhysicalLayer::Displace(FicusDirEntry& entry) {
+  entry.alive = false;
+  entry.vv.Increment(replica_);
+  if (entry.type == FicusFileType::kRegular || entry.type == FicusFileType::kSymlink) {
+    auto attrs = LoadAttributes(entry.file);
+    if (attrs.ok()) {
+      entry.deleted_file_vv = attrs->vv;
+    }
+  }
+}
+
+void PhysicalLayer::DropAliveRef(FileId file) {
+  auto it = alive_refs_.find(file);
+  if (it != alive_refs_.end() && it->second > 0) {
+    --it->second;
+  }
 }
 
 Status PhysicalLayer::AddEntry(FileId dir, std::string_view name, FileId target,
@@ -1145,30 +1127,7 @@ Status PhysicalLayer::AddEntry(FileId dir, std::string_view name, FileId target,
   if (FindAliveByPresentedName(entries, name).ok()) {
     return ExistsError(std::string(name));
   }
-  // Reuse a tombstone for the same (name, file) pair so the entry's
-  // version vector grows monotonically across delete/recreate cycles.
-  bool reused = false;
-  for (auto& e : entries) {
-    if (e.name == name && e.file == target) {
-      e.alive = true;
-      e.type = type;
-      e.vv.Increment(replica_);
-      // The old deleter's content judgement no longer applies to a live
-      // entry; a stale one would diverge from peers that recreate afresh.
-      e.deleted_file_vv = VersionVector();
-      reused = true;
-      break;
-    }
-  }
-  if (!reused) {
-    FicusDirEntry entry;
-    entry.name = std::string(name);
-    entry.file = target;
-    entry.type = type;
-    entry.alive = true;
-    entry.vv.Increment(replica_);
-    entries.push_back(std::move(entry));
-  }
+  BindName(entries, name, target, type, VersionVector());
   FICUS_RETURN_IF_ERROR(StoreDirEntries(dir, entries));
   ++alive_refs_[target];
   return BumpDirVersion(dir);
@@ -1179,35 +1138,13 @@ Status PhysicalLayer::RemoveEntry(FileId dir, std::string_view name) {
   FICUS_RETURN_IF_ERROR(CheckAttached());
   FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> entries, LoadDirEntries(dir));
   FICUS_ASSIGN_OR_RETURN(size_t index, FindAliveByPresentedName(entries, name));
-  FicusDirEntry& entry = entries[index];
-  if (IsDirectoryLike(entry.type)) {
-    // A directory may only be unlinked when empty of live entries.
-    auto child_entries = LoadDirEntries(entry.file);
-    if (child_entries.ok()) {
-      for (const auto& ce : child_entries.value()) {
-        if (ce.alive) {
-          return NotEmptyError(std::string(name));
-        }
-      }
-    }
+  // A directory may only be unlinked when empty of live entries.
+  if (IsDirectoryLike(entries[index].type) && HasLiveEntries(entries[index].file)) {
+    return NotEmptyError(std::string(name));
   }
-  entry.alive = false;
-  entry.vv.Increment(replica_);
-  entry.deleted_file_vv = VersionVector();
-  if (entry.type == FicusFileType::kRegular || entry.type == FicusFileType::kSymlink) {
-    // Record what the deleter knew of the file's contents, so a peer can
-    // detect a delete racing an update it has that we never saw.
-    auto attrs = LoadAttributes(entry.file);
-    if (attrs.ok()) {
-      entry.deleted_file_vv = attrs->vv;
-    }
-  }
-  FileId target = entry.file;
+  Displace(entries[index]);
   FICUS_RETURN_IF_ERROR(StoreDirEntries(dir, entries));
-  auto it = alive_refs_.find(target);
-  if (it != alive_refs_.end() && it->second > 0) {
-    --it->second;
-  }
+  DropAliveRef(entries[index].file);
   return BumpDirVersion(dir);
 }
 
@@ -1218,111 +1155,43 @@ Status PhysicalLayer::RenameEntry(FileId old_dir, std::string_view old_name, Fil
   FICUS_RETURN_IF_ERROR(ValidateEntryName(new_name));
   FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> old_entries, LoadDirEntries(old_dir));
   FICUS_ASSIGN_OR_RETURN(size_t index, FindAliveByPresentedName(old_entries, old_name));
-  FicusDirEntry moving = old_entries[index];
-  if (IsDirectoryLike(moving.type) && new_dir != old_dir) {
+  const FicusDirEntry moving = old_entries[index];
+  const bool same_dir = old_dir == new_dir;
+  if (IsDirectoryLike(moving.type) && !same_dir) {
     FICUS_ASSIGN_OR_RETURN(bool cycle, SubtreeContains(moving.file, new_dir));
     if (cycle) {
       return InvalidArgumentError("rename would move a directory into its own subtree");
     }
   }
-
-  if (old_dir == new_dir) {
-    // Displace an existing target entry, then tombstone + re-add in place.
-    auto displaced = FindAliveByPresentedName(old_entries, new_name);
-    if (displaced.ok()) {
-      FicusDirEntry& d = old_entries[displaced.value()];
-      d.alive = false;
-      d.vv.Increment(replica_);
-      // Displacement is a genuine delete of the target's contents: record
-      // the deleter's view for the no-lost-update rule.
-      if (d.type == FicusFileType::kRegular || d.type == FicusFileType::kSymlink) {
-        auto displaced_attrs = LoadAttributes(d.file);
-        if (displaced_attrs.ok()) {
-          d.deleted_file_vv = displaced_attrs->vv;
-        }
-      }
-      auto it = alive_refs_.find(d.file);
-      if (it != alive_refs_.end() && it->second > 0) {
-        --it->second;
-      }
-    }
-    old_entries[index].alive = false;
-    old_entries[index].vv.Increment(replica_);
-    bool reused = false;
-    for (auto& e : old_entries) {
-      if (e.name == new_name && e.file == moving.file) {
-        e.alive = true;
-        e.type = moving.type;
-        e.vv.Increment(replica_);
-        e.deleted_file_vv = VersionVector();
-        reused = true;
-        break;
-      }
-    }
-    if (!reused) {
-      FicusDirEntry fresh = moving;
-      fresh.name = std::string(new_name);
-      fresh.vv.Increment(replica_);
-      old_entries.push_back(std::move(fresh));
-    }
-    FICUS_RETURN_IF_ERROR(StoreDirEntries(old_dir, old_entries));
-    return BumpDirVersion(old_dir);
+  // Displace an existing target, tombstone the source (a rename is no
+  // content judgement), bind the new name. Across directories the target
+  // is stored FIRST and the source only then: a failure between the two
+  // stores leaves a benign transient double link, never an orphaned
+  // file. The file's *storage* does not move — only the name does,
+  // because storage is addressed by hex file-id, not by pathname.
+  std::vector<FicusDirEntry> other_entries;
+  if (!same_dir) {
+    FICUS_ASSIGN_OR_RETURN(other_entries, LoadDirEntries(new_dir));
   }
-
-  // Cross-directory: displace any existing target (same semantics as the
-  // in-place branch above), insert at the target directory FIRST, and only
-  // then tombstone the source. A failure between the two steps leaves a
-  // benign transient double link — never an orphaned file, which is what
-  // the old tombstone-then-AddEntry order produced when the target name
-  // already existed. The file's *storage* does not move — only the name
-  // does, because storage is addressed by hex file-id, not by pathname.
-  FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> new_entries, LoadDirEntries(new_dir));
+  std::vector<FicusDirEntry>& new_entries = same_dir ? old_entries : other_entries;
   auto displaced = FindAliveByPresentedName(new_entries, new_name);
   if (displaced.ok()) {
-    FicusDirEntry& d = new_entries[displaced.value()];
-    d.alive = false;
-    d.vv.Increment(replica_);
-    if (d.type == FicusFileType::kRegular || d.type == FicusFileType::kSymlink) {
-      auto displaced_attrs = LoadAttributes(d.file);
-      if (displaced_attrs.ok()) {
-        d.deleted_file_vv = displaced_attrs->vv;
-      }
-    }
-    auto displaced_it = alive_refs_.find(d.file);
-    if (displaced_it != alive_refs_.end() && displaced_it->second > 0) {
-      --displaced_it->second;
-    }
+    Displace(new_entries[*displaced]);
   }
-  bool reused = false;
-  for (auto& e : new_entries) {
-    if (e.name == new_name && e.file == moving.file) {
-      e.alive = true;
-      e.type = moving.type;
-      e.vv.Increment(replica_);
-      e.deleted_file_vv = VersionVector();
-      reused = true;
-      break;
-    }
-  }
-  if (!reused) {
-    FicusDirEntry fresh = moving;
-    fresh.name = std::string(new_name);
-    fresh.vv.Increment(replica_);
-    fresh.deleted_file_vv = VersionVector();
-    new_entries.push_back(std::move(fresh));
-  }
-  FICUS_RETURN_IF_ERROR(StoreDirEntries(new_dir, new_entries));
-  ++alive_refs_[moving.file];
-  FICUS_RETURN_IF_ERROR(BumpDirVersion(new_dir));
-
   old_entries[index].alive = false;
   old_entries[index].vv.Increment(replica_);
-  FICUS_RETURN_IF_ERROR(StoreDirEntries(old_dir, old_entries));
-  auto it = alive_refs_.find(moving.file);
-  if (it != alive_refs_.end() && it->second > 0) {
-    --it->second;
+  BindName(new_entries, new_name, moving.file, moving.type, moving.vv);
+  FICUS_RETURN_IF_ERROR(StoreDirEntries(new_dir, new_entries));
+  ++alive_refs_[moving.file];
+  if (displaced.ok()) {
+    DropAliveRef(new_entries[*displaced].file);
   }
-  return BumpDirVersion(old_dir);
+  FICUS_RETURN_IF_ERROR(BumpDirVersion(new_dir));
+  if (!same_dir) {
+    FICUS_RETURN_IF_ERROR(StoreDirEntries(old_dir, old_entries));
+  }
+  DropAliveRef(moving.file);
+  return same_dir ? OkStatus() : BumpDirVersion(old_dir);
 }
 
 StatusOr<bool> PhysicalLayer::ApplyEntryToSet(FileId dir,
@@ -1387,10 +1256,7 @@ StatusOr<bool> PhysicalLayer::ApplyEntryToSet(FileId dir,
           }
         }
         if (local.alive && !remote.alive) {
-          auto it = alive_refs_.find(local.file);
-          if (it != alive_refs_.end() && it->second > 0) {
-            --it->second;
-          }
+          DropAliveRef(local.file);
         } else if (!local.alive && remote.alive) {
           ++alive_refs_[local.file];
         }
@@ -1436,8 +1302,9 @@ StatusOr<bool> PhysicalLayer::ApplyEntryToSet(FileId dir,
     bool store = IsDirectoryLike(remote.type) || options_.storage_policy == nullptr ||
                  options_.storage_policy(remote);
     if (store) {
+      FICUS_ASSIGN_OR_RETURN(Location loc, Find(dir));
       FICUS_RETURN_IF_ERROR(
-          CreateStorage(dir, remote.file, remote.type, 0, VersionVector()));
+          CreateStorage(loc.self_dir, {remote.file}, remote.type, 0, VersionVector()));
     }
   }
   // A raw-name collision with a different file is the paper's concurrent
@@ -1457,19 +1324,7 @@ StatusOr<bool> PhysicalLayer::ApplyEntryToSet(FileId dir,
 }
 
 Status PhysicalLayer::ApplyEntry(FileId dir, const FicusDirEntry& remote) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_RETURN_IF_ERROR(CheckAttached());
-  FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> entries, LoadDirEntries(dir));
-  FICUS_ASSIGN_OR_RETURN(bool changed, ApplyEntryToSet(dir, entries, remote));
-  if (!changed) {
-    return OkStatus();
-  }
-  // Any actual state change must advance this directory replica's own
-  // version vector: otherwise a peer whose directory vector already
-  // dominates ours would skip reconciling and never observe the change
-  // (the dominance quick-exit in the reconciler relies on this).
-  FICUS_RETURN_IF_ERROR(StoreDirEntries(dir, entries));
-  return BumpDirVersion(dir);
+  return ApplyEntries(dir, {remote});
 }
 
 Status PhysicalLayer::ApplyEntries(FileId dir, const std::vector<FicusDirEntry>& remote) {
@@ -1484,6 +1339,10 @@ Status PhysicalLayer::ApplyEntries(FileId dir, const std::vector<FicusDirEntry>&
   if (!any_changed) {
     return OkStatus();
   }
+  // Any actual state change must advance this directory replica's own
+  // version vector: otherwise a peer whose directory vector already
+  // dominates ours would skip reconciling and never observe the change
+  // (the dominance quick-exit in the reconciler relies on this).
   FICUS_RETURN_IF_ERROR(StoreDirEntries(dir, entries));
   return BumpDirVersion(dir);
 }
@@ -1652,6 +1511,7 @@ StatusOr<int> PhysicalLayer::GarbageCollect() {
       }
       it = locations_.erase(it);
       alive_refs_.erase(file);
+      dir_cache_.erase(file);
       digest_cache_.erase(file);
       InvalidateDigestUp(file);
       digest_tree_.erase(file);
@@ -1713,6 +1573,12 @@ StatusOr<std::vector<std::string>> PhysicalLayer::CheckConsistency() {
         if (e.alive) {
           ++observed_refs[e.file];
         }
+        if (e.alive && !e.deleted_file_vv.Empty()) {
+          // Every path that makes an entry alive clears the deleter's
+          // judgement; Displace relies on it.
+          problems.push_back("directory " + file.ToString() + ": alive entry '" + e.name +
+                             "' carries a deleter's version vector");
+        }
         if (e.alive && locations_.count(e.file) == 0 &&
             options_.orphanage == false) {
           // Alive entry for a file we do not store: legal (optional
@@ -1748,18 +1614,6 @@ StatusOr<std::vector<std::string>> PhysicalLayer::CheckConsistency() {
 }
 
 // --- Merkle subtree digests (digest-guided reconciliation) ---
-
-uint64_t PhysicalLayer::EntrySetDigest(const std::vector<FicusDirEntry>& entries) {
-  uint64_t set = 0;
-  std::vector<uint8_t> scratch;
-  for (const auto& e : entries) {
-    scratch.clear();
-    ByteWriter w(scratch);
-    e.Serialize(w);
-    set = DigestAddElement(set, ContentHash(scratch.data(), scratch.size()));
-  }
-  return set;
-}
 
 void PhysicalLayer::LinkDigestParent(FileId child, FileId dir) {
   if (child == dir) {
@@ -1956,41 +1810,19 @@ StatusOr<std::vector<std::string>> PhysicalLayer::ValidateDigestTree() {
     }
   }
 
-  // Every persisted header must cover exactly the entry set that follows
-  // it. LoadDirEntries only validates on a full (cache-missing) parse, so
-  // go under the cache and check the raw bytes.
+  // Every directory file must carry its header, and the header must cover
+  // exactly the entry set that follows it. LoadDirEntries only validates
+  // on a full (cache-missing) parse, so go under the cache and check the
+  // raw bytes.
   for (const auto& [file, loc] : locations_) {
     if (!IsDirectoryLike(loc.type)) {
       continue;
     }
     auto ino = ufs_->DirLookup(loc.self_dir, kDirFile);
-    if (!ino.ok()) {
-      continue;
-    }
-    auto bytes = ufs_->ReadAll(*ino);
-    if (!bytes.ok() || bytes->size() < kDirHeaderSize) {
-      continue;
-    }
-    ByteReader hr(*bytes);
-    auto magic = hr.GetU32();
-    if (!magic.ok() || magic.value() != kDirMagic) {
-      continue;
-    }
-    (void)hr.GetU64();  // generation
-    auto stored = hr.GetU64();
-    if (!stored.ok()) {
-      continue;
-    }
-    std::vector<uint8_t> body(bytes->begin() + kDirHeaderSize, bytes->end());
-    auto entries = DeserializeDirEntries(body);
-    if (!entries.ok()) {
-      problems.push_back("directory " + file.ToString() + ": entries unreadable: " +
-                         entries.status().ToString());
-      continue;
-    }
-    if (EntrySetDigest(*entries) != stored.value()) {
-      problems.push_back("directory " + file.ToString() +
-                         ": persisted entry digest disagrees with entry set");
+    auto bytes = ino.ok() ? ufs_->ReadAll(*ino) : StatusOr<std::vector<uint8_t>>(ino.status());
+    Status decoded = bytes.ok() ? DecodeDirFile(*bytes).status() : bytes.status();
+    if (!decoded.ok()) {
+      problems.push_back("directory " + file.ToString() + ": " + decoded.ToString());
     }
   }
   return problems;

@@ -187,14 +187,15 @@ class PhysicalLayer : public PhysicalApi {
                         const VersionVector& vv, std::vector<uint64_t> digests);
   StatusOr<std::vector<FicusDirEntry>> ReadDirectory(FileId dir) override;
   StatusOr<std::vector<DirEntryPlus>> ReadDirPlus(FileId dir) override;
+  // CreateChildren of one name.
   StatusOr<FileId> CreateChild(FileId dir, std::string_view name, FicusFileType type,
                                uint32_t owner_uid) override;
-  // Local-only bulk creation: makes one child per name in a single
-  // directory transaction (one parse, one serialize, one version bump),
-  // so populating an N-entry directory is O(N) where a CreateChild loop
-  // is O(N^2). Restore tooling and benchmark population use this; it is
-  // deliberately not part of PhysicalApi. Fails without creating anything
-  // if any name is invalid or already present.
+  // Makes one child per name in a single directory transaction (one
+  // parse, one backing-directory rewrite, one serialize, one version
+  // bump), so populating an N-entry directory is O(N) where a CreateChild
+  // loop is O(N^2). Restore tooling and benchmark population call it
+  // directly; it is deliberately not part of PhysicalApi. Fails without
+  // creating anything if any name is invalid or already present.
   StatusOr<std::vector<FileId>> CreateChildren(FileId dir,
                                                const std::vector<std::string>& names,
                                                FicusFileType type, uint32_t owner_uid);
@@ -203,6 +204,7 @@ class PhysicalLayer : public PhysicalApi {
   Status RemoveEntry(FileId dir, std::string_view name) override;
   Status RenameEntry(FileId old_dir, std::string_view old_name, FileId new_dir,
                      std::string_view new_name) override;
+  // ApplyEntries of one entry.
   Status ApplyEntry(FileId dir, const FicusDirEntry& entry) override;
   Status ApplyEntries(FileId dir, const std::vector<FicusDirEntry>& entries) override;
   Status MergeDirVersion(FileId dir, const VersionVector& vv) override;
@@ -244,16 +246,18 @@ class PhysicalLayer : public PhysicalApi {
 
   // Ficus-level fsck: every stored replica's attributes parse and carry
   // the right identity, alive-reference counts match the directory
-  // contents, and every non-root replica is referenced by some entry.
+  // contents, no alive entry carries a deleter's version vector, and
+  // every non-root replica is referenced by some entry.
   // Returns a list of problems (empty = consistent).
   StatusOr<std::vector<std::string>> CheckConsistency();
 
   // Digest-tree oracle: recomputes every cached subtree digest from
   // scratch (bypassing the incremental cache) and reports any cached node
-  // that disagrees, plus any persisted directory header whose entry
-  // digest no longer matches the entries it covers. Directories with no
-  // cached node are not problems — the tree is lazily built. Returns a
-  // list of problems (empty = digests agree with contents).
+  // that disagrees, plus any directory file without a valid header or
+  // whose header's entry digest no longer matches the entries it covers.
+  // Directories with no cached node are not problems — the tree is lazily
+  // built. Returns a list of problems (empty = digests agree with
+  // contents).
   StatusOr<std::vector<std::string>> ValidateDigestTree();
 
   // Testing the tester: flips the cached subtree digest of `dir` (filling
@@ -315,12 +319,13 @@ class PhysicalLayer : public PhysicalApi {
   // directory-likes).
   StatusOr<ufs::InodeNum> AttrExtInode(FileId file);
 
-  // Directory files carry a generation header on disk; Load validates a
-  // cached parse against it with a single small read, Store bumps it.
-  // Coherent even across several PhysicalLayer objects attached to one
-  // image (tests do this), because the generation lives on disk.
+  // Directory files carry a generation header on disk from birth; Load
+  // validates a cached parse against it with a single small read, Store
+  // bumps it. Coherent even across several PhysicalLayer objects attached
+  // to one image (tests do this), because the generation lives on disk.
   StatusOr<std::vector<FicusDirEntry>> LoadDirEntries(FileId dir);
   Status StoreDirEntries(FileId dir, const std::vector<FicusDirEntry>& entries);
+  void CacheDir(FileId dir, uint64_t generation, const std::vector<FicusDirEntry>& entries);
 
   // True when the locally stored directory has at least one live entry
   // (false also when we do not store it / cannot read it).
@@ -331,10 +336,31 @@ class PhysicalLayer : public PhysicalApi {
   // rooted *acyclic* graph, section 4.1).
   StatusOr<bool> SubtreeContains(FileId root, FileId candidate);
 
-  // Creates on-disk storage (data + attr) for a new or remotely-discovered
-  // file in directory `dir`. The attribute record starts with `vv`.
-  Status CreateStorage(FileId dir, FileId file, FicusFileType type, uint32_t owner_uid,
-                       const VersionVector& vv);
+  // Creates storage for `files` — new, all of `type`, locally created or
+  // remotely discovered — under the UFS directory `parent`: one
+  // Ufs::CreateFiles call adds every data file, aux attribute file and
+  // child UFS directory; each new directory then gets its directory file
+  // (header included) and aux attribute file; then every file's
+  // attributes are stored, starting from `vv`.
+  Status CreateStorage(ufs::InodeNum parent, const std::vector<FileId>& files,
+                       FicusFileType type, uint32_t owner_uid, const VersionVector& vv);
+
+  // The one name-binding rule: binds `name` to `file` in `entries` as one
+  // local update. It revives the tombstone of that (name, file) pair, so
+  // the entry's version vector grows monotonically across delete/recreate
+  // cycles, or appends a fresh entry whose vector starts from `vv`. The
+  // bound entry is alive and carries no deleter's judgement.
+  void BindName(std::vector<FicusDirEntry>& entries, std::string_view name, FileId file,
+                FicusFileType type, const VersionVector& vv);
+  // The one displacement rule: tombstones the alive `entry` as one local
+  // update. For a regular file or symlink it records the deleter's view
+  // of the contents (deleted_file_vv), so a peer can detect a delete
+  // racing an update this replica never saw. Alive entries carry an empty
+  // deleted_file_vv (CheckConsistency reports any that does not), so
+  // recording is all it takes. The caller drops the alive reference once
+  // the entry set is stored.
+  void Displace(FicusDirEntry& entry);
+  void DropAliveRef(FileId file);
 
   // Advances the directory's own version vector by one local update.
   Status BumpDirVersion(FileId dir);
@@ -351,7 +377,7 @@ class PhysicalLayer : public PhysicalApi {
 
   // Layer-wide lock: serializes every PhysicalApi operation and the
   // caches behind them. Recursive because public operations compose
-  // (ApplyEntries -> ApplyEntry -> CreateStorage). Never held across a
+  // (ApplyEntry -> ApplyEntries -> CreateStorage). Never held across a
   // network call — remote I/O happens in the propagation daemon and the
   // logical layer, both of which call in and return between RPCs.
   mutable std::recursive_mutex mu_;
@@ -422,8 +448,6 @@ class PhysicalLayer : public PhysicalApi {
   // path or a scratch map for the from-scratch oracle recompute.
   StatusOr<DigestNode> ComputeDigestNode(FileId dir, std::set<FileId>& visiting,
                                          std::map<FileId, DigestNode>& memo);
-  // Digest of one directory's raw entry set (order-independent).
-  static uint64_t EntrySetDigest(const std::vector<FicusDirEntry>& entries);
   // Erases the digest nodes of `file` (if a directory) and every ancestor
   // reachable through digest_parents_. Absence of a node is not a stop
   // condition — an ancestor may be cached while the child is not.

@@ -77,9 +77,7 @@ Status DeserializeInode(const uint8_t* in, Inode& inode) {
   return OkStatus();
 }
 
-// Parses one flat record run: u32 ino | u8 type | u16 name_len | name.
-// Shared by the legacy whole-file format and the per-bucket record runs
-// of the hashed format.
+// Parses one bucket's record run: u32 ino | u8 type | u16 name_len | name.
 Status ParseDirRecords(ByteReader& r, std::vector<UfsDirEntry>& entries) {
   while (!r.AtEnd()) {
     UfsDirEntry e;
@@ -130,14 +128,15 @@ bool IsHashedDir(const std::vector<uint8_t>& data) {
   return first == kUfsDirMagic;
 }
 
-// Accepts both formats; legacy linear images parse until their next
-// mutation rewrites them hashed.
+// A zero-length image is the never-written empty directory; any other
+// image must be hashed.
 StatusOr<std::vector<UfsDirEntry>> DeserializeDir(const std::vector<uint8_t>& data) {
   std::vector<UfsDirEntry> entries;
-  if (!IsHashedDir(data)) {
-    ByteReader r(data);
-    FICUS_RETURN_IF_ERROR(ParseDirRecords(r, entries));
+  if (data.empty()) {
     return entries;
+  }
+  if (!IsHashedDir(data)) {
+    return CorruptError("directory image lacks the hashed-format magic");
   }
   ByteReader r(data);
   FICUS_RETURN_IF_ERROR(r.GetU32().status());  // magic
@@ -173,23 +172,20 @@ StatusOr<std::vector<UfsDirEntry>> DeserializeDir(const std::vector<uint8_t>& da
   return entries;
 }
 
-// Structural validation of one directory image for fsck: both formats
-// must parse, and a hashed image must additionally place every record in
-// the bucket its name hashes to with an honest header count — that is
-// what DirHashLookup's one-bucket read relies on.
+// Structural validation of one directory image for fsck: a non-empty
+// image must be hashed, place every record in the bucket its name hashes
+// to, and carry an honest header count — that is what DirHashLookup's
+// one-bucket read relies on.
 void ValidateDirImage(InodeNum ino, const std::vector<uint8_t>& data,
                       std::vector<std::string>& problems) {
   auto report = [&](const std::string& what) {
     problems.push_back("directory inode " + std::to_string(ino) + ": " + what);
   };
+  if (data.empty()) {
+    return;
+  }
   if (!IsHashedDir(data)) {
-    // Legacy linear format: valid as long as it parses (it is upgraded
-    // in place by the next mutation).
-    std::vector<UfsDirEntry> ignored;
-    ByteReader r(data);
-    if (!ParseDirRecords(r, ignored).ok()) {
-      report("legacy records corrupt");
-    }
+    report("image lacks the hashed-format magic");
     return;
   }
   ByteReader r(data);
@@ -258,6 +254,23 @@ void ValidateDirImage(InodeNum ino, const std::vector<uint8_t>& data,
     report("header entry count " + std::to_string(count) + " != stored " +
            std::to_string(seen));
   }
+}
+
+// Fails unless every name is a well-formed component, absent from the
+// directory whose names are `taken`, and unique within the batch.
+Status CheckNewNames(const std::unordered_map<std::string, size_t>& taken,
+                     const std::vector<std::string>& names) {
+  std::unordered_set<std::string_view> batch;
+  for (const std::string& name : names) {
+    if (name.empty() || name.size() > vfs::kMaxComponentLength ||
+        name.find('/') != std::string::npos) {
+      return InvalidArgumentError("bad directory entry name");
+    }
+    if (taken.count(name) != 0 || !batch.insert(name).second) {
+      return ExistsError(name);
+    }
+  }
+  return OkStatus();
 }
 
 }  // namespace
@@ -363,9 +376,6 @@ Status Ufs::Format(uint32_t inode_count) {
   if (root != kRootInode) {
     return InternalError("root inode not inode 1");
   }
-  FICUS_ASSIGN_OR_RETURN(Inode root_inode, ReadInode(root));
-  root_inode.nlink = 2;
-  FICUS_RETURN_IF_ERROR(WriteInode(root, root_inode));
   return WriteSuperBlock();
 }
 
@@ -466,7 +476,9 @@ StatusOr<InodeNum> Ufs::AllocInode(FileType type, uint32_t mode, uint32_t uid, u
   inode.mode = mode;
   inode.uid = uid;
   inode.gid = gid;
-  inode.nlink = 1;
+  // "." and ".." are implicit in this UFS; a directory starts with nlink
+  // 2 (itself + its parent's entry) to keep fsck's arithmetic honest.
+  inode.nlink = type == FileType::kDirectory ? 2 : 1;
   inode.mtime = Now();
   inode.ctime = inode.mtime;
   FICUS_RETURN_IF_ERROR(WriteInode(ino, inode));
@@ -848,11 +860,14 @@ StatusOr<std::vector<uint8_t>> Ufs::ReadAll(InodeNum ino) {
 
 Status Ufs::WriteAll(InodeNum ino, const std::vector<uint8_t>& data) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_RETURN_IF_ERROR(Truncate(ino, 0));
+  // Over the blocks the file already has, then cut to the new size
+  // (Truncate frees the tail blocks and zeroes the partial last one), so
+  // a rewrite frees and reallocates nothing it keeps, and the file is
+  // never empty on disk in between.
   if (!data.empty()) {
     FICUS_RETURN_IF_ERROR(WriteAt(ino, 0, data).status());
   }
-  return OkStatus();
+  return Truncate(ino, data.size());
 }
 
 // --- Block-remap commit ---
@@ -1102,25 +1117,20 @@ StatusOr<bool> Ufs::RecoverJournal() {
 
 // --- Directories ---
 
-StatusOr<std::vector<UfsDirEntry>> Ufs::CachedDirEntries(InodeNum dir) {
+StatusOr<const Ufs::CachedDirIndex*> Ufs::DirIndex(InodeNum dir) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_ASSIGN_OR_RETURN(Inode inode, ReadInode(dir));
-  return CachedDirEntries(dir, inode);
-}
-
-StatusOr<std::vector<UfsDirEntry>> Ufs::CachedDirEntries(InodeNum dir, const Inode& inode) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  if (inode.type != FileType::kDirectory) {
+    return NotDirError("inode " + std::to_string(dir) + " is not a directory");
+  }
   SyncDirIndexEpoch();
   auto it = dir_index_.find(dir);
   if (it != dir_index_.end()) {
-    return it->second.entries;
+    return &it->second;
   }
   FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> data, ReadAll(dir));
   FICUS_ASSIGN_OR_RETURN(std::vector<UfsDirEntry> entries, DeserializeDir(data));
-  if (inode.type == FileType::kDirectory) {
-    RememberDirIndex(dir, entries);
-  }
-  return entries;
+  return &RememberDirIndex(dir, std::move(entries));
 }
 
 void Ufs::SyncDirIndexEpoch() {
@@ -1139,27 +1149,29 @@ void Ufs::SyncDirIndexEpoch() {
   }
 }
 
-void Ufs::RememberDirIndex(InodeNum dir, const std::vector<UfsDirEntry>& entries) {
+const Ufs::CachedDirIndex& Ufs::RememberDirIndex(InodeNum dir,
+                                                 std::vector<UfsDirEntry> entries) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   SyncDirIndexEpoch();
   if (dir_index_.size() >= kMaxDirIndexEntries) {
     dir_index_.erase(dir_index_.begin());
   }
-  CachedDirIndex index;
-  index.entries = entries;
-  index.by_name.reserve(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    index.by_name.emplace(entries[i].name, i);
+  CachedDirIndex& index = dir_index_[dir];
+  index.entries = std::move(entries);
+  index.by_name.clear();
+  index.by_name.reserve(index.entries.size());
+  for (size_t i = 0; i < index.entries.size(); ++i) {
+    index.by_name.emplace(index.entries[i].name, i);
   }
-  dir_index_[dir] = std::move(index);
+  return index;
 }
 
-Status Ufs::WriteDirEntries(InodeNum dir, const std::vector<UfsDirEntry>& entries) {
+Status Ufs::WriteDirEntries(InodeNum dir, std::vector<UfsDirEntry> entries) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   // WriteAll's Truncate/WriteAt erase the index entry; re-stamp it with
   // the freshly written state so the next access is a hit.
   FICUS_RETURN_IF_ERROR(WriteAll(dir, SerializeDir(entries)));
-  RememberDirIndex(dir, entries);
+  RememberDirIndex(dir, std::move(entries));
   return OkStatus();
 }
 
@@ -1178,35 +1190,24 @@ StatusOr<InodeNum> Ufs::DirLookup(InodeNum dir, std::string_view name) {
     }
     return it->second.entries[hit->second].ino;
   }
-  // Cold: a hashed directory answers from one bucket (three short reads)
-  // without parsing — O(1) even at 100k entries. Legacy images take the
-  // full parse below, which also warms the index.
-  auto fast = DirHashLookup(dir, inode, name);
-  if (fast.status().code() != ErrorCode::kNotSupported) {
-    return fast;
-  }
-  FICUS_ASSIGN_OR_RETURN(std::vector<UfsDirEntry> entries, CachedDirEntries(dir, inode));
-  for (const auto& e : entries) {
-    if (e.name == name) {
-      return e.ino;
-    }
-  }
-  return NotFoundError(std::string(name));
+  // Cold: the hashed image answers from one bucket (three short reads)
+  // without parsing — O(1) even at 100k entries.
+  return DirHashLookup(dir, inode, name);
 }
 
 StatusOr<InodeNum> Ufs::DirHashLookup(InodeNum dir, const Inode& inode,
                                       std::string_view name) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (inode.size < kUfsDirHeaderBytes) {
-    return NotSupportedError("directory too small for hashed format");
+  if (inode.size == 0) {
+    return NotFoundError(std::string(name));  // never written: empty
   }
   std::vector<uint8_t> header;
   FICUS_RETURN_IF_ERROR(ReadAt(dir, 0, kUfsDirHeaderBytes, header).status());
-  ByteReader hr(header);
-  FICUS_ASSIGN_OR_RETURN(uint32_t magic, hr.GetU32());
-  if (magic != kUfsDirMagic) {
-    return NotSupportedError("legacy directory format");
+  if (!IsHashedDir(header)) {
+    return CorruptError("directory image lacks the hashed-format magic");
   }
+  ByteReader hr(header);
+  FICUS_RETURN_IF_ERROR(hr.GetU32().status());  // magic
   FICUS_ASSIGN_OR_RETURN(uint32_t buckets, hr.GetU32());
   if (buckets == 0 || (buckets & (buckets - 1)) != 0) {
     return CorruptError("hashed directory bucket count invalid");
@@ -1241,93 +1242,54 @@ StatusOr<InodeNum> Ufs::DirHashLookup(InodeNum dir, const Inode& inode,
 
 Status Ufs::DirAdd(InodeNum dir, std::string_view name, InodeNum ino, FileType type) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (name.empty() || name.size() > vfs::kMaxComponentLength ||
-      name.find('/') != std::string_view::npos) {
-    return InvalidArgumentError("bad directory entry name");
-  }
-  FICUS_ASSIGN_OR_RETURN(Inode inode, ReadInode(dir));
-  if (inode.type != FileType::kDirectory) {
-    return NotDirError("DirAdd on non-directory inode");
-  }
-  FICUS_ASSIGN_OR_RETURN(std::vector<UfsDirEntry> entries, CachedDirEntries(dir, inode));
-  for (const auto& e : entries) {
-    if (e.name == name) {
-      return ExistsError(std::string(name));
-    }
-  }
+  FICUS_ASSIGN_OR_RETURN(const CachedDirIndex* index, DirIndex(dir));
+  FICUS_RETURN_IF_ERROR(CheckNewNames(index->by_name, {std::string(name)}));
+  std::vector<UfsDirEntry> entries = index->entries;
   entries.push_back(UfsDirEntry{std::string(name), ino, type});
-  return WriteDirEntries(dir, entries);
+  return WriteDirEntries(dir, std::move(entries));
 }
 
 Status Ufs::DirRemove(InodeNum dir, std::string_view name) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_ASSIGN_OR_RETURN(std::vector<UfsDirEntry> entries, CachedDirEntries(dir));
-  auto it = std::find_if(entries.begin(), entries.end(),
-                         [&](const UfsDirEntry& e) { return e.name == name; });
-  if (it == entries.end()) {
+  FICUS_ASSIGN_OR_RETURN(const CachedDirIndex* index, DirIndex(dir));
+  auto hit = index->by_name.find(std::string(name));
+  if (hit == index->by_name.end()) {
     return NotFoundError(std::string(name));
   }
-  entries.erase(it);
-  return WriteDirEntries(dir, entries);
+  std::vector<UfsDirEntry> entries = index->entries;
+  entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(hit->second));
+  return WriteDirEntries(dir, std::move(entries));
 }
 
 StatusOr<std::vector<UfsDirEntry>> Ufs::DirList(InodeNum dir) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_ASSIGN_OR_RETURN(Inode inode, ReadInode(dir));
-  if (inode.type != FileType::kDirectory) {
-    return NotDirError("DirList on non-directory inode");
-  }
-  return CachedDirEntries(dir, inode);
+  FICUS_ASSIGN_OR_RETURN(const CachedDirIndex* index, DirIndex(dir));
+  return index->entries;
 }
 
 StatusOr<bool> Ufs::DirIsEmpty(InodeNum dir) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_ASSIGN_OR_RETURN(std::vector<UfsDirEntry> entries, DirList(dir));
-  return entries.empty();
+  FICUS_ASSIGN_OR_RETURN(const CachedDirIndex* index, DirIndex(dir));
+  return index->entries.empty();
 }
 
 Status Ufs::DirRepoint(InodeNum dir, std::string_view name, InodeNum new_ino) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_ASSIGN_OR_RETURN(std::vector<UfsDirEntry> entries, CachedDirEntries(dir));
-  for (auto& e : entries) {
-    if (e.name == name) {
-      e.ino = new_ino;
-      return WriteDirEntries(dir, entries);
-    }
+  FICUS_ASSIGN_OR_RETURN(const CachedDirIndex* index, DirIndex(dir));
+  auto hit = index->by_name.find(std::string(name));
+  if (hit == index->by_name.end()) {
+    return NotFoundError(std::string(name));
   }
-  return NotFoundError(std::string(name));
+  std::vector<UfsDirEntry> entries = index->entries;
+  entries[hit->second].ino = new_ino;
+  return WriteDirEntries(dir, std::move(entries));
 }
 
 // --- Composite operations ---
 
 StatusOr<InodeNum> Ufs::CreateFile(InodeNum dir, std::string_view name, FileType type,
                                    uint32_t mode, uint32_t uid, uint32_t gid) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  // Fail before allocating if the name is taken.
-  auto existing = DirLookup(dir, name);
-  if (existing.ok()) {
-    return ExistsError(std::string(name));
-  }
-  if (existing.status().code() != ErrorCode::kNotFound) {
-    return existing.status();
-  }
-  FICUS_ASSIGN_OR_RETURN(InodeNum ino, AllocInode(type, mode, uid, gid));
-  Status add = DirAdd(dir, name, ino, type);
-  if (!add.ok()) {
-    (void)FreeInode(ino);
-    return add;
-  }
-  if (type == FileType::kDirectory) {
-    // "." and ".." are implicit in this UFS; a directory starts with
-    // nlink 2 (itself + parent entry) to keep fsck's arithmetic honest.
-    FICUS_ASSIGN_OR_RETURN(Inode inode, ReadInode(ino));
-    inode.nlink = 2;
-    FICUS_RETURN_IF_ERROR(WriteInode(ino, inode));
-    FICUS_ASSIGN_OR_RETURN(Inode parent, ReadInode(dir));
-    ++parent.nlink;
-    FICUS_RETURN_IF_ERROR(WriteInode(dir, parent));
-  }
-  return ino;
+  return OnlyResult(CreateFiles(dir, {std::string(name)}, type, mode, uid, gid));
 }
 
 StatusOr<std::vector<InodeNum>> Ufs::CreateFiles(InodeNum dir,
@@ -1335,55 +1297,36 @@ StatusOr<std::vector<InodeNum>> Ufs::CreateFiles(InodeNum dir,
                                                  FileType type, uint32_t mode, uint32_t uid,
                                                  uint32_t gid) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_RETURN_IF_ERROR(CheckMounted());
-  if (type == FileType::kDirectory) {
-    // Directories need per-entry nlink bookkeeping; batch callers create
-    // them through CreateFile.
-    return InvalidArgumentError("CreateFiles only creates non-directory inodes");
-  }
-  FICUS_ASSIGN_OR_RETURN(Inode inode, ReadInode(dir));
-  if (inode.type != FileType::kDirectory) {
-    return NotDirError("CreateFiles on non-directory inode");
-  }
-  FICUS_ASSIGN_OR_RETURN(std::vector<UfsDirEntry> entries, CachedDirEntries(dir, inode));
-  {
-    // Views into `entries`/`names` are only safe while neither mutates;
-    // all validation completes before the allocation loop below appends.
-    std::unordered_set<std::string_view> taken;
-    taken.reserve(entries.size() + names.size());
-    for (const auto& e : entries) {
-      taken.insert(std::string_view(e.name));
-    }
-    for (const auto& name : names) {
-      if (name.empty() || name.size() > vfs::kMaxComponentLength ||
-          name.find('/') != std::string_view::npos) {
-        return InvalidArgumentError("bad directory entry name");
-      }
-      if (!taken.insert(std::string_view(name)).second) {
-        return ExistsError(name);
-      }
-    }
-  }
+  FICUS_ASSIGN_OR_RETURN(const CachedDirIndex* index, DirIndex(dir));
+  FICUS_RETURN_IF_ERROR(CheckNewNames(index->by_name, names));
+  std::vector<UfsDirEntry> entries = index->entries;
+  entries.reserve(entries.size() + names.size());
   std::vector<InodeNum> created;
   created.reserve(names.size());
-  entries.reserve(entries.size() + names.size());
+  auto undo = [&]() {
+    for (InodeNum ino : created) {
+      (void)FreeInode(ino);
+    }
+  };
   for (const auto& name : names) {
     auto ino = AllocInode(type, mode, uid, gid);
     if (!ino.ok()) {
-      for (InodeNum undo : created) {
-        (void)FreeInode(undo);
-      }
+      undo();
       return ino.status();
     }
     entries.push_back(UfsDirEntry{name, *ino, type});
     created.push_back(*ino);
   }
-  Status wrote = WriteDirEntries(dir, entries);
+  Status wrote = WriteDirEntries(dir, std::move(entries));
   if (!wrote.ok()) {
-    for (InodeNum undo : created) {
-      (void)FreeInode(undo);
-    }
+    undo();
     return wrote;
+  }
+  if (type == FileType::kDirectory && !created.empty()) {
+    // Each new directory's implicit ".." is one more link to the parent.
+    FICUS_ASSIGN_OR_RETURN(Inode parent, ReadInode(dir));
+    parent.nlink += static_cast<uint32_t>(created.size());
+    FICUS_RETURN_IF_ERROR(WriteInode(dir, parent));
   }
   return created;
 }

@@ -92,12 +92,11 @@ struct UfsDirEntry {
   FileType type = FileType::kRegular;
 };
 
-// On-disk directory format. Directories written before the hashed format
-// existed are flat record sequences ("legacy"); everything written since
-// leads with kUfsDirMagic and carries a bucket table so one component
-// lookup touches one bucket instead of scanning 100k records. The upgrade
-// is transparent: legacy images parse fine and are rewritten hashed by
-// their next mutation.
+// On-disk directory format: a zero-length image is the empty directory
+// (nothing has been written yet); every other image leads with
+// kUfsDirMagic and carries a bucket table, so one component lookup
+// touches one bucket instead of scanning 100k records. An image without
+// the magic is corrupt.
 //
 //   u32 magic = kUfsDirMagic
 //   u32 bucket_count          (power of two)
@@ -107,9 +106,6 @@ struct UfsDirEntry {
 //                                               relative to the record area
 //   record area: per-bucket runs of records
 //       u32 ino | u8 type | u16 name_len | name
-//
-// Legacy records are the same u32-led shape; the magic is far above any
-// valid inode number, so the first word disambiguates the two formats.
 constexpr uint32_t kUfsDirMagic = 0xF1C0D1E5;
 constexpr uint32_t kUfsDirHeaderBytes = 16;
 
@@ -162,7 +158,7 @@ struct RemapBlock {
 // cold/warm I/O experiments can count device reads precisely.
 //
 // Thread-safe: one recursive mutex serializes every operation (public
-// operations compose — CreateFile calls AllocInode + DirAdd — hence
+// operations compose — CreateFiles calls AllocInode + WriteAll — hence
 // recursive). Coarse by design: a UFS instance is one disk, and the
 // paper's concurrency lives above it; sharding comes later if profiles
 // demand it. The UFS never calls out of itself while holding the lock
@@ -204,7 +200,8 @@ class Ufs {
   Status Truncate(InodeNum ino, uint64_t new_size);
   // Reads the entire file contents.
   StatusOr<std::vector<uint8_t>> ReadAll(InodeNum ino);
-  // Replaces the entire file contents.
+  // Replaces the entire file contents in place: writes over the blocks the
+  // file already has, then truncates to the new size.
   Status WriteAll(InodeNum ino, const std::vector<uint8_t>& data);
 
   // --- Block-remap commit (journal-backed; DESIGN.md "Commit protocol") ---
@@ -245,16 +242,15 @@ class Ufs {
   Status DirRepoint(InodeNum dir, std::string_view name, InodeNum new_ino);
 
   // --- Whole-tree helpers ---
-  // Creates a file/directory/symlink under `dir`. Returns the new inode.
+  // CreateFiles of one name. Returns the new inode.
   StatusOr<InodeNum> CreateFile(InodeNum dir, std::string_view name, FileType type,
                                 uint32_t mode, uint32_t uid, uint32_t gid);
-  // Batch creation of non-directory files under one parent: allocates
-  // every inode, then rewrites the directory once. Per-name CreateFile
-  // rewrites the whole directory file each call, which makes populating
-  // an N-entry directory O(N^2) in serialized bytes; this is the O(N)
-  // path bulk writers (replica propagation, CreateChildren) should use.
-  // All-or-nothing: any bad or duplicate name fails the whole batch
-  // before storage is touched.
+  // Creates one file/directory/symlink of `type` per name under `dir`:
+  // allocates every inode, then rewrites the directory once (a loop of
+  // one-name calls rewrites it per name, O(N^2) in serialized bytes for an
+  // N-entry directory). New directories start with nlink 2 and raise the
+  // parent's nlink by their count. All-or-nothing: any bad or taken name
+  // fails the whole batch before storage is touched.
   StatusOr<std::vector<InodeNum>> CreateFiles(InodeNum dir,
                                               const std::vector<std::string>& names,
                                               FileType type, uint32_t mode, uint32_t uid,
@@ -316,26 +312,25 @@ class Ufs {
   // (crash simulation, remount) drops it wholesale. The previous
   // (mtime, size) stamp is gone — it could not tell a same-tick,
   // same-size rewrite from the cached state under the simulated clock.
-  void SyncDirIndexEpoch();
-  StatusOr<std::vector<UfsDirEntry>> CachedDirEntries(InodeNum dir);
-  // Overload for callers that already read the inode (saves a re-read).
-  StatusOr<std::vector<UfsDirEntry>> CachedDirEntries(InodeNum dir, const Inode& inode);
-  // Serializes + writes `entries` as dir's contents and re-stamps the
-  // index with the resulting inode state.
-  Status WriteDirEntries(InodeNum dir, const std::vector<UfsDirEntry>& entries);
-  void RememberDirIndex(InodeNum dir, const std::vector<UfsDirEntry>& entries);
-
-  // Targeted one-bucket lookup against the hashed on-disk format, used
-  // when the index is cold so a 100k-entry directory costs three short
-  // reads instead of a full parse. kNotSupported = legacy format (caller
-  // falls back to a full parse), kNotFound = name absent.
-  StatusOr<InodeNum> DirHashLookup(InodeNum dir, const Inode& inode, std::string_view name);
-
   struct CachedDirIndex {
     std::vector<UfsDirEntry> entries;
     // name -> index into entries; rebuilt whenever entries are (re)stamped.
     std::unordered_map<std::string, size_t> by_name;
   };
+  void SyncDirIndexEpoch();
+  // The index of directory `dir`, parsed and remembered on a miss
+  // (kNotDir for any other inode). Valid until the index next changes.
+  StatusOr<const CachedDirIndex*> DirIndex(InodeNum dir);
+  // Serializes + writes `entries` as dir's contents and re-stamps the
+  // index with them.
+  Status WriteDirEntries(InodeNum dir, std::vector<UfsDirEntry> entries);
+  const CachedDirIndex& RememberDirIndex(InodeNum dir, std::vector<UfsDirEntry> entries);
+
+  // Targeted one-bucket lookup, used when the index is cold so a
+  // 100k-entry directory costs three short reads instead of a full parse.
+  // kNotFound = name absent, kCorrupt = not a hashed image.
+  StatusOr<InodeNum> DirHashLookup(InodeNum dir, const Inode& inode, std::string_view name);
+
   std::map<InodeNum, CachedDirIndex> dir_index_;
   uint64_t dir_index_epoch_ = 0;
   static constexpr size_t kMaxDirIndexEntries = 128;

@@ -15,6 +15,16 @@ class PhysicalTest : public ::testing::Test {
             .ok());
   }
 
+  // The UFS inode reached from the volume's container through `path`, one
+  // component at a time (hex file-ids, ".dir", ...).
+  StatusOr<ufs::InodeNum> Backing(const std::vector<std::string>& path) {
+    FICUS_ASSIGN_OR_RETURN(ufs::InodeNum ino, ufs_.DirLookup(ufs::kRootInode, "vol1"));
+    for (const std::string& component : path) {
+      FICUS_ASSIGN_OR_RETURN(ino, ufs_.DirLookup(ino, component));
+    }
+    return ino;
+  }
+
   SimClock clock_;
   storage::BlockDevice device_;
   storage::BufferCache cache_;
@@ -415,6 +425,152 @@ TEST_F(PhysicalTest, DirectoryOpsRejectRegularFiles) {
   EXPECT_EQ(layer_->CreateChild(*file, "x", FicusFileType::kRegular, 0).status().code(),
             ErrorCode::kNotDir);
   EXPECT_EQ(layer_->ReadAllData(kRootFileId).status().code(), ErrorCode::kIsDir);
+}
+
+// --- directory storage: one creation path, one on-disk format ---
+
+TEST_F(PhysicalTest, NewDirectoryFileCarriesItsHeader) {
+  auto dir = layer_->CreateChild(kRootFileId, "d", FicusFileType::kDirectory, 0);
+  ASSERT_TRUE(dir.ok());
+  auto dir_file = Backing({kRootFileId.ToHex(), dir->ToHex(), ".dir"});
+  ASSERT_TRUE(dir_file.ok());
+  auto bytes = ufs_.ReadAll(*dir_file);
+  ASSERT_TRUE(bytes.ok());
+  // magic (0xF1C0D1D3, little-endian) | generation | entry digest, then
+  // the serialized empty entry set.
+  ASSERT_GE(bytes->size(), 20u);
+  EXPECT_EQ(std::vector<uint8_t>(bytes->begin(), bytes->begin() + 4),
+            (std::vector<uint8_t>{0xD3, 0xD1, 0xC0, 0xF1}));
+  EXPECT_EQ(std::vector<uint8_t>(bytes->begin() + 20, bytes->end()), SerializeDirEntries({}));
+  auto problems = layer_->ValidateDigestTree();
+  ASSERT_TRUE(problems.ok());
+  EXPECT_TRUE(problems->empty()) << problems->front();
+}
+
+TEST_F(PhysicalTest, HeaderlessDirectoryFileIsRejectedAndReported) {
+  auto dir = layer_->CreateChild(kRootFileId, "d", FicusFileType::kDirectory, 0);
+  ASSERT_TRUE(dir.ok());
+  ASSERT_TRUE(layer_->ReadDirectory(*dir).ok());  // parse cached
+  auto dir_file = Backing({kRootFileId.ToHex(), dir->ToHex(), ".dir"});
+  ASSERT_TRUE(dir_file.ok());
+  ASSERT_TRUE(ufs_.WriteAll(*dir_file, SerializeDirEntries({})).ok());
+  EXPECT_EQ(layer_->ReadDirectory(*dir).status().code(), ErrorCode::kCorrupt);
+  auto problems = layer_->ValidateDigestTree();
+  ASSERT_TRUE(problems.ok());
+  bool flagged = false;
+  for (const auto& p : *problems) {
+    if (p.find(dir->ToString()) != std::string::npos &&
+        p.find("lacks its header") != std::string::npos) {
+      flagged = true;
+    }
+  }
+  EXPECT_TRUE(flagged) << "a header-less directory file went unreported";
+}
+
+TEST_F(PhysicalTest, CreateChildCostsWhatABatchOfOneCosts) {
+  // Aux attribute files (the fixture's placement): the data file and its
+  // .attr join the backing directory in one rewrite either way.
+  auto a = layer_->CreateChild(kRootFileId, "a", FicusFileType::kDirectory, 0);
+  auto b = layer_->CreateChild(kRootFileId, "b", FicusFileType::kDirectory, 0);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  device_.ResetStats();
+  ASSERT_TRUE(layer_->CreateChild(*a, "x", FicusFileType::kRegular, 7).ok());
+  const uint64_t single = device_.stats().writes;
+  device_.ResetStats();
+  ASSERT_TRUE(layer_->CreateChildren(*b, {"x"}, FicusFileType::kRegular, 7).ok());
+  EXPECT_EQ(device_.stats().writes, single);
+}
+
+TEST_F(PhysicalTest, CreateChildrenOfDirectoriesRewritesTheParentOnce) {
+  // Two parents alike but for the size of their backing UFS directory:
+  // `big` also holds names the physical layer ignores, so one in-place
+  // rewrite of it costs `rewrite_extra` more device writes than one of
+  // `small`. Three directory children rewrite the parent once, so they
+  // cost about that much more in `big`, not three times as much.
+  auto small = layer_->CreateChild(kRootFileId, "small", FicusFileType::kDirectory, 0);
+  auto big = layer_->CreateChild(kRootFileId, "big", FicusFileType::kDirectory, 0);
+  ASSERT_TRUE(small.ok());
+  ASSERT_TRUE(big.ok());
+  auto small_backing = Backing({kRootFileId.ToHex(), small->ToHex()});
+  auto big_backing = Backing({kRootFileId.ToHex(), big->ToHex()});
+  ASSERT_TRUE(small_backing.ok());
+  ASSERT_TRUE(big_backing.ok());
+  std::vector<std::string> filler;
+  for (int i = 0; i < 300; ++i) {
+    filler.push_back(std::to_string(i) + std::string(250, 'z'));
+  }
+  ASSERT_TRUE(
+      ufs_.CreateFiles(*big_backing, filler, ufs::FileType::kRegular, 0600, 0, 0).ok());
+
+  auto rewrite_cost = [&](ufs::InodeNum backing) -> uint64_t {
+    auto dir_file = ufs_.DirLookup(backing, ".dir");
+    EXPECT_TRUE(dir_file.ok());
+    device_.ResetStats();
+    EXPECT_TRUE(ufs_.DirRepoint(backing, ".dir", *dir_file).ok());
+    return device_.stats().writes;
+  };
+  const uint64_t rewrite_extra = rewrite_cost(*big_backing) - rewrite_cost(*small_backing);
+  ASSERT_GT(rewrite_extra, 10u);
+
+  const std::vector<std::string> names = {"d1", "d2", "d3"};
+  device_.ResetStats();
+  ASSERT_TRUE(layer_->CreateChildren(*small, names, FicusFileType::kDirectory, 0).ok());
+  const uint64_t in_small = device_.stats().writes;
+  device_.ResetStats();
+  ASSERT_TRUE(layer_->CreateChildren(*big, names, FicusFileType::kDirectory, 0).ok());
+  const uint64_t in_big = device_.stats().writes;
+  EXPECT_LT(in_big - in_small, 2 * rewrite_extra);
+  auto problems = layer_->CheckConsistency();
+  ASSERT_TRUE(problems.ok());
+  EXPECT_TRUE(problems->empty()) << problems->front();
+}
+
+TEST_F(PhysicalTest, IdenticalSmallReinstallMovesOnlyTheAttributes) {
+  for (size_t size : {size_t{0}, size_t{1024}}) {
+    auto file =
+        layer_->CreateChild(kRootFileId, "f" + std::to_string(size), FicusFileType::kRegular, 0);
+    ASSERT_TRUE(file.ok());
+    const std::vector<uint8_t> bytes(size, 0x5C);
+    if (size > 0) {
+      ASSERT_TRUE(layer_->WriteData(*file, 0, bytes).ok());
+    }
+    auto data_ino = Backing({kRootFileId.ToHex(), file->ToHex()});
+    auto attrs = layer_->GetAttributes(*file);
+    ASSERT_TRUE(data_ino.ok());
+    ASSERT_TRUE(attrs.ok());
+    VersionVector newer = attrs->vv;
+    newer.Increment(2);
+    const uint64_t shadows = layer_->stats().commit_shadow;
+
+    ASSERT_TRUE(layer_->InstallVersion(*file, bytes, newer).ok()) << size;
+    EXPECT_EQ(layer_->stats().commit_shadow, shadows) << size;
+    // A shadow install would have swung the name to a new inode.
+    EXPECT_EQ(Backing({kRootFileId.ToHex(), file->ToHex()}).value(), *data_ino) << size;
+    EXPECT_EQ(layer_->GetAttributes(*file)->vv.Compare(newer), VectorOrder::kEqual) << size;
+    EXPECT_EQ(layer_->ReadAllData(*file).value(), bytes) << size;
+  }
+}
+
+TEST_F(PhysicalTest, AliveEntryCarryingADeleterVectorIsReported) {
+  FicusDirEntry remote;
+  remote.name = "revenant";
+  remote.file = FileId{2, 1};
+  remote.type = FicusFileType::kRegular;
+  remote.alive = true;
+  remote.vv.Increment(2);
+  remote.deleted_file_vv.Increment(2);  // only a tombstone may carry one
+  ASSERT_TRUE(layer_->ApplyEntry(kRootFileId, remote).ok());
+  auto problems = layer_->CheckConsistency();
+  ASSERT_TRUE(problems.ok());
+  bool flagged = false;
+  for (const auto& p : *problems) {
+    if (p.find("'revenant'") != std::string::npos &&
+        p.find("deleter's version vector") != std::string::npos) {
+      flagged = true;
+    }
+  }
+  EXPECT_TRUE(flagged) << "an alive entry with a deleted_file_vv went unreported";
 }
 
 }  // namespace

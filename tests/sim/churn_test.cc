@@ -223,8 +223,8 @@ TEST_P(ChurnTest, RebootedHostIsResyncedByRecoveryCallbacks) {
 INSTANTIATE_TEST_SUITE_P(Runtimes, ChurnTest,
                          ::testing::Values(RuntimeMode::kDeterministic,
                                            RuntimeMode::kThreaded),
-                         [](const ::testing::TestParamInfo<RuntimeMode>& info) {
-                           return std::string(RuntimeModeName(info.param));
+                         [](const ::testing::TestParamInfo<RuntimeMode>& mode) {
+                           return std::string(RuntimeModeName(mode.param));
                          });
 
 // Deterministic-only (the assertion counts exact daemon passes): once

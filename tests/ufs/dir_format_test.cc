@@ -1,9 +1,9 @@
 // Hashed on-disk directory format + epoch-keyed parsed-directory index.
 //
 // The first half pins the hashed format introduced for O(1) component
-// lookup: round trips, one-bucket cold lookups, transparent upgrade from
-// the legacy linear format, and fsck (Ufs::Check) catching structural
-// tampering. The second half is the regression suite for the index
+// lookup: round trips, one-bucket cold lookups, the zero-length empty
+// directory, rejection of any other image without the magic, and fsck
+// (Ufs::Check) catching structural tampering. The second half is the regression suite for the index
 // validation change: the index is keyed on the buffer cache's
 // invalidation epoch, not a per-entry (mtime, size) stamp, because a
 // same-tick same-size rewrite under the simulated clock leaves both
@@ -96,44 +96,46 @@ TEST_F(DirFormatTest, ColdHashedLookupReadsOneBucketNotTheWholeDirectory) {
   EXPECT_LE(device_.stats().reads, 8u);
 }
 
-TEST_F(DirFormatTest, LegacyLinearImageParsesAndUpgradesOnMutation) {
-  auto dir = ufs_.CreateFile(kRootInode, "old", FileType::kDirectory, 0755, 0, 0);
+TEST_F(DirFormatTest, NeverWrittenDirectoryIsEmpty) {
+  auto dir = ufs_.CreateFile(kRootInode, "fresh", FileType::kDirectory, 0755, 0, 0);
+  ASSERT_TRUE(dir.ok());
+  auto inode = ufs_.ReadInode(*dir);
+  ASSERT_TRUE(inode.ok());
+  EXPECT_EQ(inode->size, 0u);
+  auto listed = ufs_.DirList(*dir);
+  ASSERT_TRUE(listed.ok());
+  EXPECT_TRUE(listed->empty());
+  // Cold: a fresh view has no parsed index, so the lookup reads the image.
+  Ufs cold(&cache_, &clock_);
+  ASSERT_TRUE(cold.Mount().ok());
+  EXPECT_EQ(cold.DirLookup(*dir, "anything").status().code(), ErrorCode::kNotFound);
+  ExpectClean();
+}
+
+TEST_F(DirFormatTest, ImageWithoutMagicIsCorrupt) {
+  auto dir = ufs_.CreateFile(kRootInode, "flat", FileType::kDirectory, 0755, 0, 0);
   ASSERT_TRUE(dir.ok());
   auto a = ufs_.CreateFile(*dir, "a", FileType::kRegular, 0644, 0, 0);
-  auto b = ufs_.CreateFile(*dir, "b", FileType::kRegular, 0644, 0, 0);
   ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  // Rewrite the directory in the pre-hash linear format, as a disk image
-  // written by an older build would be.
-  std::vector<uint8_t> legacy;
-  ByteWriter w(legacy);
+  // One bare record: a well-formed record run, but no hashed header.
+  std::vector<uint8_t> flat;
+  ByteWriter w(flat);
   w.PutU32(*a);
   w.PutU8(static_cast<uint8_t>(FileType::kRegular));
   w.PutString("a");
-  w.PutU32(*b);
-  w.PutU8(static_cast<uint8_t>(FileType::kRegular));
-  w.PutString("b");
-  ASSERT_TRUE(ufs_.WriteAll(*dir, legacy).ok());
-  ExpectClean();
+  ASSERT_TRUE(ufs_.WriteAll(*dir, flat).ok());
 
-  auto found = ufs_.DirLookup(*dir, "b");
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(*found, *b);
-
-  // Any mutation rewrites the image hashed.
-  auto c = ufs_.CreateFile(*dir, "c", FileType::kRegular, 0644, 0, 0);
-  ASSERT_TRUE(c.ok());
-  auto raw = ufs_.ReadAll(*dir);
-  ASSERT_TRUE(raw.ok());
-  uint32_t first = 0;
-  for (int i = 3; i >= 0; --i) {
-    first = (first << 8) | (*raw)[static_cast<size_t>(i)];
+  EXPECT_EQ(ufs_.DirList(*dir).status().code(), ErrorCode::kCorrupt);
+  EXPECT_EQ(ufs_.DirLookup(*dir, "a").status().code(), ErrorCode::kCorrupt);
+  auto problems = ufs_.Check();
+  ASSERT_TRUE(problems.ok());
+  bool flagged = false;
+  for (const auto& p : *problems) {
+    if (p.find("lacks the hashed-format magic") != std::string::npos) {
+      flagged = true;
+    }
   }
-  EXPECT_EQ(first, kUfsDirMagic);
-  for (const char* name : {"a", "b", "c"}) {
-    EXPECT_TRUE(ufs_.DirLookup(*dir, name).ok()) << name;
-  }
-  ExpectClean();
+  EXPECT_TRUE(flagged) << "fsck missed a directory image without the magic";
 }
 
 TEST_F(DirFormatTest, CheckFlagsTamperedHeaderCount) {

@@ -224,6 +224,66 @@ TEST_F(UfsTest, CreateFilesRejectsWholeBatchOnDuplicate) {
   ExpectClean();
 }
 
+// WriteAll rewrites in place. A lower free run (left by truncating a file
+// created first) would attract a truncate-and-reallocate rewrite, so
+// unchanged block pointers show the blocks were never freed.
+TEST_F(UfsTest, SameSizeWriteAllKeepsEveryBlock) {
+  auto low = ufs_.CreateFile(kRootInode, "low", FileType::kRegular, 0644, 0, 0);
+  auto ino = ufs_.CreateFile(kRootInode, "f", FileType::kRegular, 0644, 0, 0);
+  ASSERT_TRUE(low.ok());
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(ufs_.WriteAll(*low, std::vector<uint8_t>(3 * storage::kBlockSize, 1)).ok());
+  ASSERT_TRUE(ufs_.WriteAll(*ino, std::vector<uint8_t>(3 * storage::kBlockSize, 2)).ok());
+  ASSERT_TRUE(ufs_.Truncate(*low, 0).ok());
+  auto before = ufs_.ReadInode(*ino);
+  auto free_before = ufs_.FreeBlockCount();
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(free_before.ok());
+
+  std::vector<uint8_t> next(3 * storage::kBlockSize, 3);
+  ASSERT_TRUE(ufs_.WriteAll(*ino, next).ok());
+  auto after = ufs_.ReadInode(*ino);
+  ASSERT_TRUE(after.ok());
+  for (uint32_t i = 0; i < kDirectBlocks; ++i) {
+    EXPECT_EQ(after->direct[i], before->direct[i]) << "block " << i;
+  }
+  EXPECT_EQ(ufs_.FreeBlockCount().value(), free_before.value());
+  EXPECT_EQ(ufs_.ReadAll(*ino).value(), next);
+  ExpectClean();
+}
+
+TEST_F(UfsTest, ShorterWriteAllFreesExactlyTheTailBlocks) {
+  auto low = ufs_.CreateFile(kRootInode, "low", FileType::kRegular, 0644, 0, 0);
+  auto ino = ufs_.CreateFile(kRootInode, "f", FileType::kRegular, 0644, 0, 0);
+  ASSERT_TRUE(low.ok());
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(ufs_.WriteAll(*low, std::vector<uint8_t>(3 * storage::kBlockSize, 1)).ok());
+  ASSERT_TRUE(ufs_.WriteAll(*ino, std::vector<uint8_t>(5 * storage::kBlockSize, 2)).ok());
+  ASSERT_TRUE(ufs_.Truncate(*low, 0).ok());
+  auto before = ufs_.ReadInode(*ino);
+  auto free_before = ufs_.FreeBlockCount();
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(free_before.ok());
+
+  // One and a half blocks: the second block stays, its tail zeroed.
+  std::vector<uint8_t> next(storage::kBlockSize + storage::kBlockSize / 2, 3);
+  ASSERT_TRUE(ufs_.WriteAll(*ino, next).ok());
+  auto after = ufs_.ReadInode(*ino);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->direct[0], before->direct[0]);
+  EXPECT_EQ(after->direct[1], before->direct[1]);
+  for (uint32_t i = 2; i < kDirectBlocks; ++i) {
+    EXPECT_EQ(after->direct[i], 0u) << "block " << i;
+  }
+  EXPECT_EQ(ufs_.FreeBlockCount().value(), free_before.value() + 3);
+  EXPECT_EQ(ufs_.ReadAll(*ino).value(), next);
+  std::vector<uint8_t> tail;
+  ASSERT_TRUE(ufs_.Truncate(*ino, 2 * storage::kBlockSize).ok());
+  ASSERT_TRUE(ufs_.ReadAt(*ino, next.size(), storage::kBlockSize / 2, tail).ok());
+  EXPECT_EQ(tail, std::vector<uint8_t>(storage::kBlockSize / 2, 0));
+  ExpectClean();
+}
+
 TEST_F(UfsTest, MaxFileSizeEnforced) {
   auto ino = ufs_.CreateFile(kRootInode, "huge", FileType::kRegular, 0644, 0, 0);
   ASSERT_TRUE(ino.ok());
