@@ -1,5 +1,6 @@
 // Little-endian byte serialization used by the UFS on-disk structures, the
-// Ficus auxiliary attribute files and directory files, and NFS messages.
+// Ficus auxiliary attribute files and directory files, NFS messages and
+// the physical-layer facade.
 // Header-only: trivial loops the compiler flattens.
 #ifndef FICUS_SRC_COMMON_SERIALIZE_H_
 #define FICUS_SRC_COMMON_SERIALIZE_H_
@@ -142,6 +143,26 @@ class ByteReader {
   const std::vector<uint8_t>& data_;
   size_t pos_ = 0;
 };
+
+// A Status on the wire, the one encoding every protocol here uses: u32
+// error code, then the message as a u16-prefixed string.
+inline constexpr size_t kMinStatusWireSize = 6;
+
+inline void PutStatus(ByteWriter& w, const Status& status) {
+  w.PutU32(static_cast<uint32_t>(status.code()));
+  w.PutString(status.message());
+}
+
+// Decodes a Status from the wire. A decode failure surfaces as kCorrupt;
+// otherwise the decoded status itself is returned (ok or not).
+inline Status ReadWireStatus(ByteReader& r) {
+  FICUS_ASSIGN_OR_RETURN(uint32_t code, r.GetU32());
+  FICUS_ASSIGN_OR_RETURN(std::string message, r.GetString());
+  if (code > static_cast<uint32_t>(ErrorCode::kInternal)) {
+    return CorruptError("bad status code on wire");
+  }
+  return Status(static_cast<ErrorCode>(code), std::move(message));
+}
 
 }  // namespace ficus
 

@@ -27,26 +27,6 @@ const char* NfsProcName(NfsProc proc) {
   return "unknown";
 }
 
-void PutStatus(ByteWriter& w, const Status& status) {
-  w.PutU32(static_cast<uint32_t>(status.code()));
-  w.PutString(status.message());
-}
-
-Status ReadWireStatus(ByteReader& r) {
-  auto code = r.GetU32();
-  if (!code.ok()) {
-    return code.status();
-  }
-  auto message = r.GetString();
-  if (!message.ok()) {
-    return message.status();
-  }
-  if (code.value() > static_cast<uint32_t>(ErrorCode::kInternal)) {
-    return CorruptError("bad status code on wire");
-  }
-  return Status(static_cast<ErrorCode>(code.value()), std::move(message).value());
-}
-
 void PutVAttr(ByteWriter& w, const vfs::VAttr& attr) {
   w.PutU8(static_cast<uint8_t>(attr.type));
   w.PutU32(attr.mode);

@@ -70,12 +70,7 @@ const char* NfsProcName(NfsProc proc);
 // Name of the RPC service an NfsServer registers on its host port.
 inline constexpr char kNfsService[] = "nfs";
 
-// --- shared marshalling helpers ---
-
-void PutStatus(ByteWriter& w, const Status& status);
-// Decodes a Status from the wire. A decode failure surfaces as kCorrupt;
-// otherwise the decoded status itself is returned (ok or not).
-Status ReadWireStatus(ByteReader& r);
+// --- shared marshalling helpers (Status: src/common/serialize.h) ---
 
 void PutVAttr(ByteWriter& w, const vfs::VAttr& attr);
 Status GetVAttr(ByteReader& r, vfs::VAttr& attr);

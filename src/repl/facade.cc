@@ -1,6 +1,9 @@
 #include "src/repl/facade.h"
 
 #include <algorithm>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 namespace ficus::repl {
 
@@ -15,31 +18,246 @@ namespace {
 constexpr char kReqPrefix[] = "@req:";
 constexpr char kSessionName[] = "@session";
 
-void PutStatusBytes(ByteWriter& w, const Status& status) {
-  w.PutU32(static_cast<uint32_t>(status.code()));
-  w.PutString(status.message());
+// --- Wire codec ---
+//
+// A request is its opcode followed by the arguments of the PhysicalApi
+// method the opcode names, in order. A response is a Status followed,
+// when it is ok, by the method's result. Each wire type has one Put and
+// one Get below, shared by ExecutePhysRequest and RemotePhysical, so no
+// opcode's format is written twice. Every Get fails with kCorrupt on
+// malformed input rather than reading past the end.
+//
+// Calls inside a template bind where the template is defined (argument-
+// dependent lookup does not search this unnamed namespace), so the
+// templates are declared here and defined after every other overload.
+
+template <typename... T>
+void PutAll(ByteWriter& w, const T&... values);
+template <typename... T>
+Status GetAll(ByteReader& r, T&... values);
+template <typename T>
+void Put(ByteWriter& w, const std::vector<T>& values);
+template <typename T>
+Status Get(ByteReader& r, std::vector<T>& values);
+template <typename A, typename B>
+void Put(ByteWriter& w, const std::pair<A, B>& pair);
+template <typename A, typename B>
+Status Get(ByteReader& r, std::pair<A, B>& pair);
+
+void Put(ByteWriter& w, bool value) { w.PutU8(value ? 1 : 0); }
+void Put(ByteWriter& w, uint32_t value) { w.PutU32(value); }
+void Put(ByteWriter& w, uint64_t value) { w.PutU64(value); }
+void Put(ByteWriter& w, std::string_view value) { w.PutString(value); }
+void Put(ByteWriter& w, const std::vector<uint8_t>& bytes) { w.PutBytes(bytes); }
+void Put(ByteWriter& w, FicusFileType type) { w.PutU8(static_cast<uint8_t>(type)); }
+void Put(ByteWriter& w, const FileId& id) { PutFileId(w, id); }
+void Put(ByteWriter& w, const VolumeId& id) { PutVolumeId(w, id); }
+void Put(ByteWriter& w, const Status& status) { PutStatus(w, status); }
+
+Status Get(ByteReader& r, bool& value) {
+  FICUS_ASSIGN_OR_RETURN(uint8_t raw, r.GetU8());
+  value = raw != 0;
+  return OkStatus();
 }
 
-Status ReadStatusBytes(ByteReader& r) {
-  auto code = r.GetU32();
-  if (!code.ok()) {
-    return code.status();
-  }
-  auto message = r.GetString();
-  if (!message.ok()) {
-    return message.status();
-  }
-  if (code.value() > static_cast<uint32_t>(ErrorCode::kInternal)) {
-    return CorruptError("bad status code in physical-layer response");
-  }
-  return Status(static_cast<ErrorCode>(code.value()), std::move(message).value());
+Status Get(ByteReader& r, uint32_t& value) {
+  FICUS_ASSIGN_OR_RETURN(value, r.GetU32());
+  return OkStatus();
 }
 
-std::vector<uint8_t> ErrorResponse(const Status& status) {
+Status Get(ByteReader& r, uint64_t& value) {
+  FICUS_ASSIGN_OR_RETURN(value, r.GetU64());
+  return OkStatus();
+}
+
+Status Get(ByteReader& r, std::string& value) {
+  FICUS_ASSIGN_OR_RETURN(value, r.GetString());
+  return OkStatus();
+}
+
+Status Get(ByteReader& r, std::vector<uint8_t>& bytes) {
+  FICUS_ASSIGN_OR_RETURN(bytes, r.GetBytes());
+  return OkStatus();
+}
+
+Status Get(ByteReader& r, FicusFileType& type) {
+  FICUS_ASSIGN_OR_RETURN(uint8_t raw, r.GetU8());
+  if (raw < static_cast<uint8_t>(FicusFileType::kRegular) ||
+      raw > static_cast<uint8_t>(FicusFileType::kGraftPoint)) {
+    return CorruptError("bad file type on wire");
+  }
+  type = static_cast<FicusFileType>(raw);
+  return OkStatus();
+}
+
+Status Get(ByteReader& r, FileId& id) { return GetFileId(r, id); }
+Status Get(ByteReader& r, VolumeId& id) { return GetVolumeId(r, id); }
+
+// A row's own status. A kCorrupt one is a marshalling error rather than
+// a per-row failure, and it poisons the rest of the stream.
+Status Get(ByteReader& r, Status& status) {
+  status = ReadWireStatus(r);
+  return status.code() == ErrorCode::kCorrupt ? status : OkStatus();
+}
+
+// FicusDirEntry, ReplicaAttributes and VersionVector bring their own
+// serializers (the same bytes they have on disk).
+template <typename T>
+concept SelfSerialized = requires(const T& value, ByteWriter& w, ByteReader& r) {
+  value.Serialize(w);
+  T::Deserialize(r);
+};
+
+template <SelfSerialized T>
+void Put(ByteWriter& w, const T& value) {
+  value.Serialize(w);
+}
+
+template <SelfSerialized T>
+Status Get(ByteReader& r, T& value) {
+  FICUS_ASSIGN_OR_RETURN(value, T::Deserialize(r));
+  return OkStatus();
+}
+
+void Put(ByteWriter& w, const BlockDigestInfo& info) { PutAll(w, info.file_size, info.digests); }
+Status Get(ByteReader& r, BlockDigestInfo& info) { return GetAll(r, info.file_size, info.digests); }
+
+// Each row type leads with its key and its own status; the payload
+// follows only when that status is ok.
+void Put(ByteWriter& w, const FileAttrResult& row) {
+  PutAll(w, row.file, row.status);
+  if (row.status.ok()) {
+    Put(w, row.attrs);
+  }
+}
+
+Status Get(ByteReader& r, FileAttrResult& row) {
+  FICUS_RETURN_IF_ERROR(GetAll(r, row.file, row.status));
+  return row.status.ok() ? Get(r, row.attrs) : OkStatus();
+}
+
+void Put(ByteWriter& w, const SubtreeDigest& row) {
+  PutAll(w, row.dir, row.status);
+  if (row.status.ok()) {
+    PutAll(w, row.vv, row.entry_digest, row.files_digest, row.subtree_digest, row.children);
+  }
+}
+
+Status Get(ByteReader& r, SubtreeDigest& row) {
+  FICUS_RETURN_IF_ERROR(GetAll(r, row.dir, row.status));
+  return row.status.ok() ? GetAll(r, row.vv, row.entry_digest, row.files_digest,
+                                  row.subtree_digest, row.children)
+                         : OkStatus();
+}
+
+void Put(ByteWriter& w, const DirEntryPlus& row) {
+  PutAll(w, row.entry, row.attr_status);
+  if (row.attr_status.ok()) {
+    PutAll(w, row.attrs, row.size);
+  }
+}
+
+Status Get(ByteReader& r, DirEntryPlus& row) {
+  FICUS_RETURN_IF_ERROR(GetAll(r, row.entry, row.attr_status));
+  return row.attr_status.ok() ? GetAll(r, row.attrs, row.size) : OkStatus();
+}
+
+// Smallest encoding of each element type a vector carries: an untrusted
+// element count is refused when the bytes left cannot hold that many
+// elements, before anything is reserved.
+template <typename T>
+constexpr size_t kMinWireSize = T::kMinWireSize;
+template <>
+constexpr size_t kMinWireSize<uint64_t> = 8;
+template <>
+constexpr size_t kMinWireSize<FileId> = 8;
+template <>
+constexpr size_t kMinWireSize<FileAttrResult> = kMinWireSize<FileId> + kMinStatusWireSize;
+template <>
+constexpr size_t kMinWireSize<SubtreeDigest> = kMinWireSize<FileId> + kMinStatusWireSize;
+template <>
+constexpr size_t kMinWireSize<DirEntryPlus> = FicusDirEntry::kMinWireSize + kMinStatusWireSize;
+template <typename A, typename B>
+constexpr size_t kMinWireSize<std::pair<A, B>> = kMinWireSize<A> + kMinWireSize<B>;
+
+template <typename... T>
+void PutAll(ByteWriter& w, const T&... values) {
+  (Put(w, values), ...);
+}
+
+// Decodes in order and stops at the first failure.
+template <typename... T>
+Status GetAll(ByteReader& r, T&... values) {
+  Status status;
+  (void)((status = Get(r, values)).ok() && ...);
+  return status;
+}
+
+template <typename T>
+void Put(ByteWriter& w, const std::vector<T>& values) {
+  w.PutU32(static_cast<uint32_t>(values.size()));
+  for (const T& value : values) {
+    Put(w, value);
+  }
+}
+
+template <typename T>
+Status Get(ByteReader& r, std::vector<T>& values) {
+  FICUS_ASSIGN_OR_RETURN(uint32_t count, r.GetCount(kMinWireSize<T>));
+  values.clear();
+  values.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    FICUS_RETURN_IF_ERROR(Get(r, values.emplace_back()));
+  }
+  return OkStatus();
+}
+
+template <typename A, typename B>
+void Put(ByteWriter& w, const std::pair<A, B>& pair) {
+  PutAll(w, pair.first, pair.second);
+}
+
+template <typename A, typename B>
+Status Get(ByteReader& r, std::pair<A, B>& pair) {
+  return GetAll(r, pair.first, pair.second);
+}
+
+// --- Server side ---
+
+std::vector<uint8_t> Respond(const Status& status) {
   std::vector<uint8_t> out;
   ByteWriter w(out);
-  PutStatusBytes(w, status);
+  PutStatus(w, status);
   return out;
+}
+
+template <typename T>
+std::vector<uint8_t> Respond(const StatusOr<T>& result) {
+  if (!result.ok()) {
+    return Respond(result.status());
+  }
+  std::vector<uint8_t> out;
+  ByteWriter w(out);
+  PutAll(w, OkStatus(), result.value());
+  return out;
+}
+
+// What a method parameter decodes into: its value type, with an owning
+// string behind a string_view.
+template <typename P>
+using ArgValue = std::conditional_t<std::is_same_v<P, std::string_view>, std::string,
+                                    std::remove_cvref_t<P>>;
+
+// Decodes the arguments of `method` from the rest of the request, calls
+// it on `layer` and encodes the outcome.
+template <typename R, typename... P>
+std::vector<uint8_t> Serve(PhysicalApi* layer, ByteReader& r, R (PhysicalApi::*method)(P...)) {
+  std::tuple<ArgValue<P>...> args;
+  Status decoded = std::apply([&r](auto&... arg) { return GetAll(r, arg...); }, args);
+  if (!decoded.ok()) {
+    return Respond(decoded);
+  }
+  return Respond(std::apply([&](const auto&... arg) { return (layer->*method)(arg...); }, args));
 }
 
 }  // namespace
@@ -47,416 +265,40 @@ std::vector<uint8_t> ErrorResponse(const Status& status) {
 std::vector<uint8_t> ExecutePhysRequest(PhysicalLayer* layer,
                                         const std::vector<uint8_t>& request) {
   ByteReader r(request);
-  auto op_or = r.GetU8();
-  if (!op_or.ok()) {
-    return ErrorResponse(op_or.status());
+  auto op = r.GetU8();
+  if (!op.ok()) {
+    return Respond(op.status());
   }
-  PhysOp op = static_cast<PhysOp>(op_or.value());
-
-  std::vector<uint8_t> out;
-  ByteWriter w(out);
-
-  // Each case decodes arguments, runs the call, and emits status+results.
-  switch (op) {
-    case PhysOp::kGetVolumeInfo: {
-      PutStatusBytes(w, OkStatus());
-      PutVolumeId(w, layer->volume_id());
-      w.PutU32(layer->replica_id());
-      return out;
-    }
-    case PhysOp::kGetAttributes: {
-      FileId file;
-      if (Status s = GetFileId(r, file); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto attrs = layer->GetAttributes(file);
-      if (!attrs.ok()) {
-        return ErrorResponse(attrs.status());
-      }
-      PutStatusBytes(w, OkStatus());
-      attrs->Serialize(w);
-      return out;
-    }
-    case PhysOp::kSetConflict: {
-      FileId file;
-      if (Status s = GetFileId(r, file); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto flag = r.GetU8();
-      if (!flag.ok()) {
-        return ErrorResponse(flag.status());
-      }
-      Status s = layer->SetConflict(file, flag.value() != 0);
-      PutStatusBytes(w, s);
-      return out;
-    }
-    case PhysOp::kReadData: {
-      FileId file;
-      if (Status s = GetFileId(r, file); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto offset = r.GetU64();
-      auto length = r.GetU32();
-      if (!offset.ok() || !length.ok()) {
-        return ErrorResponse(CorruptError("bad ReadData request"));
-      }
-      auto data = layer->ReadData(file, offset.value(), length.value());
-      if (!data.ok()) {
-        return ErrorResponse(data.status());
-      }
-      PutStatusBytes(w, OkStatus());
-      w.PutBytes(data.value());
-      return out;
-    }
-    case PhysOp::kReadAllData: {
-      FileId file;
-      if (Status s = GetFileId(r, file); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto data = layer->ReadAllData(file);
-      if (!data.ok()) {
-        return ErrorResponse(data.status());
-      }
-      PutStatusBytes(w, OkStatus());
-      w.PutBytes(data.value());
-      return out;
-    }
-    case PhysOp::kDataSize: {
-      FileId file;
-      if (Status s = GetFileId(r, file); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto size = layer->DataSize(file);
-      if (!size.ok()) {
-        return ErrorResponse(size.status());
-      }
-      PutStatusBytes(w, OkStatus());
-      w.PutU64(size.value());
-      return out;
-    }
-    case PhysOp::kWriteData: {
-      FileId file;
-      if (Status s = GetFileId(r, file); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto offset = r.GetU64();
-      auto data = r.GetBytes();
-      if (!offset.ok() || !data.ok()) {
-        return ErrorResponse(CorruptError("bad WriteData request"));
-      }
-      PutStatusBytes(w, layer->WriteData(file, offset.value(), data.value()));
-      return out;
-    }
-    case PhysOp::kTruncateData: {
-      FileId file;
-      if (Status s = GetFileId(r, file); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto size = r.GetU64();
-      if (!size.ok()) {
-        return ErrorResponse(size.status());
-      }
-      PutStatusBytes(w, layer->TruncateData(file, size.value()));
-      return out;
-    }
-    case PhysOp::kInstallVersion: {
-      FileId file;
-      if (Status s = GetFileId(r, file); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto contents = r.GetBytes();
-      if (!contents.ok()) {
-        return ErrorResponse(contents.status());
-      }
-      auto vv = VersionVector::Deserialize(r);
-      if (!vv.ok()) {
-        return ErrorResponse(vv.status());
-      }
-      PutStatusBytes(w, layer->InstallVersion(file, contents.value(), vv.value()));
-      return out;
-    }
-    case PhysOp::kReadDirectory: {
-      FileId dir;
-      if (Status s = GetFileId(r, dir); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto entries = layer->ReadDirectory(dir);
-      if (!entries.ok()) {
-        return ErrorResponse(entries.status());
-      }
-      PutStatusBytes(w, OkStatus());
-      w.PutU32(static_cast<uint32_t>(entries->size()));
-      for (const auto& e : entries.value()) {
-        e.Serialize(w);
-      }
-      return out;
-    }
-    case PhysOp::kCreateChild: {
-      FileId dir;
-      if (Status s = GetFileId(r, dir); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto name = r.GetString();
-      auto type = r.GetU8();
-      auto uid = r.GetU32();
-      if (!name.ok() || !type.ok() || !uid.ok()) {
-        return ErrorResponse(CorruptError("bad CreateChild request"));
-      }
-      auto file = layer->CreateChild(dir, name.value(),
-                                     static_cast<FicusFileType>(type.value()), uid.value());
-      if (!file.ok()) {
-        return ErrorResponse(file.status());
-      }
-      PutStatusBytes(w, OkStatus());
-      PutFileId(w, file.value());
-      return out;
-    }
-    case PhysOp::kAddEntry: {
-      FileId dir;
-      FileId target;
-      if (Status s = GetFileId(r, dir); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto name = r.GetString();
-      if (!name.ok()) {
-        return ErrorResponse(name.status());
-      }
-      if (Status s = GetFileId(r, target); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto type = r.GetU8();
-      if (!type.ok()) {
-        return ErrorResponse(type.status());
-      }
-      PutStatusBytes(w, layer->AddEntry(dir, name.value(), target,
-                                        static_cast<FicusFileType>(type.value())));
-      return out;
-    }
-    case PhysOp::kRemoveEntry: {
-      FileId dir;
-      if (Status s = GetFileId(r, dir); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto name = r.GetString();
-      if (!name.ok()) {
-        return ErrorResponse(name.status());
-      }
-      PutStatusBytes(w, layer->RemoveEntry(dir, name.value()));
-      return out;
-    }
-    case PhysOp::kRenameEntry: {
-      FileId old_dir;
-      FileId new_dir;
-      if (Status s = GetFileId(r, old_dir); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto old_name = r.GetString();
-      if (!old_name.ok()) {
-        return ErrorResponse(old_name.status());
-      }
-      if (Status s = GetFileId(r, new_dir); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto new_name = r.GetString();
-      if (!new_name.ok()) {
-        return ErrorResponse(new_name.status());
-      }
-      PutStatusBytes(w,
-                     layer->RenameEntry(old_dir, old_name.value(), new_dir, new_name.value()));
-      return out;
-    }
-    case PhysOp::kApplyEntry: {
-      FileId dir;
-      if (Status s = GetFileId(r, dir); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto entry = FicusDirEntry::Deserialize(r);
-      if (!entry.ok()) {
-        return ErrorResponse(entry.status());
-      }
-      PutStatusBytes(w, layer->ApplyEntry(dir, entry.value()));
-      return out;
-    }
-    case PhysOp::kApplyEntries: {
-      FileId dir;
-      if (Status s = GetFileId(r, dir); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto count = r.GetCount(20);  // see FicusDirEntry wire minimum
-      if (!count.ok()) {
-        return ErrorResponse(count.status());
-      }
-      std::vector<FicusDirEntry> batch;
-      batch.reserve(count.value());
-      for (uint32_t i = 0; i < count.value(); ++i) {
-        auto entry = FicusDirEntry::Deserialize(r);
-        if (!entry.ok()) {
-          return ErrorResponse(entry.status());
-        }
-        batch.push_back(std::move(entry).value());
-      }
-      PutStatusBytes(w, layer->ApplyEntries(dir, batch));
-      return out;
-    }
-    case PhysOp::kMergeDirVersion: {
-      FileId dir;
-      if (Status s = GetFileId(r, dir); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto vv = VersionVector::Deserialize(r);
-      if (!vv.ok()) {
-        return ErrorResponse(vv.status());
-      }
-      PutStatusBytes(w, layer->MergeDirVersion(dir, vv.value()));
-      return out;
-    }
-    case PhysOp::kReadLink: {
-      FileId file;
-      if (Status s = GetFileId(r, file); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto target = layer->ReadLink(file);
-      if (!target.ok()) {
-        return ErrorResponse(target.status());
-      }
-      PutStatusBytes(w, OkStatus());
-      w.PutString(target.value());
-      return out;
-    }
-    case PhysOp::kWriteLink: {
-      FileId file;
-      if (Status s = GetFileId(r, file); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto target = r.GetString();
-      if (!target.ok()) {
-        return ErrorResponse(target.status());
-      }
-      PutStatusBytes(w, layer->WriteLink(file, target.value()));
-      return out;
-    }
-    case PhysOp::kNoteOpen: {
-      FileId file;
-      if (Status s = GetFileId(r, file); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      PutStatusBytes(w, layer->NoteOpen(file));
-      return out;
-    }
-    case PhysOp::kNoteClose: {
-      FileId file;
-      if (Status s = GetFileId(r, file); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      PutStatusBytes(w, layer->NoteClose(file));
-      return out;
-    }
-    case PhysOp::kReadBlockDigests: {
-      FileId file;
-      if (Status s = GetFileId(r, file); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto info = layer->ReadBlockDigests(file);
-      if (!info.ok()) {
-        return ErrorResponse(info.status());
-      }
-      PutStatusBytes(w, OkStatus());
-      w.PutU64(info->file_size);
-      w.PutU32(static_cast<uint32_t>(info->digests.size()));
-      for (uint64_t d : info->digests) {
-        w.PutU64(d);
-      }
-      return out;
-    }
-    case PhysOp::kReadDirPlus: {
-      FileId dir;
-      if (Status s = GetFileId(r, dir); !s.ok()) {
-        return ErrorResponse(s);
-      }
-      auto rows = layer->ReadDirPlus(dir);
-      if (!rows.ok()) {
-        return ErrorResponse(rows.status());
-      }
-      PutStatusBytes(w, OkStatus());
-      w.PutU32(static_cast<uint32_t>(rows->size()));
-      for (const auto& row : rows.value()) {
-        row.entry.Serialize(w);
-        PutStatusBytes(w, row.attr_status);
-        if (row.attr_status.ok()) {
-          row.attrs.Serialize(w);
-          w.PutU64(row.size);
-        }
-      }
-      return out;
-    }
-    case PhysOp::kBatchGetAttributes: {
-      auto count = r.GetCount(8);  // one FileId per row
-      if (!count.ok()) {
-        return ErrorResponse(count.status());
-      }
-      std::vector<FileId> files;
-      files.reserve(count.value());
-      for (uint32_t i = 0; i < count.value(); ++i) {
-        FileId file;
-        if (Status s = GetFileId(r, file); !s.ok()) {
-          return ErrorResponse(s);
-        }
-        files.push_back(file);
-      }
-      auto rows = layer->BatchGetAttributes(files);
-      if (!rows.ok()) {
-        return ErrorResponse(rows.status());
-      }
-      PutStatusBytes(w, OkStatus());
-      w.PutU32(static_cast<uint32_t>(rows->size()));
-      for (const auto& row : rows.value()) {
-        PutFileId(w, row.file);
-        PutStatusBytes(w, row.status);
-        if (row.status.ok()) {
-          row.attrs.Serialize(w);
-        }
-      }
-      return out;
-    }
-    case PhysOp::kGetSubtreeDigests: {
-      auto count = r.GetCount(8);  // one FileId per row
-      if (!count.ok()) {
-        return ErrorResponse(count.status());
-      }
-      std::vector<FileId> dirs;
-      dirs.reserve(count.value());
-      for (uint32_t i = 0; i < count.value(); ++i) {
-        FileId dir;
-        if (Status s = GetFileId(r, dir); !s.ok()) {
-          return ErrorResponse(s);
-        }
-        dirs.push_back(dir);
-      }
-      auto rows = layer->GetSubtreeDigests(dirs);
-      if (!rows.ok()) {
-        return ErrorResponse(rows.status());
-      }
-      PutStatusBytes(w, OkStatus());
-      w.PutU32(static_cast<uint32_t>(rows->size()));
-      for (const auto& row : rows.value()) {
-        PutFileId(w, row.dir);
-        PutStatusBytes(w, row.status);
-        if (row.status.ok()) {
-          row.vv.Serialize(w);
-          w.PutU64(row.entry_digest);
-          w.PutU64(row.files_digest);
-          w.PutU64(row.subtree_digest);
-          w.PutU32(static_cast<uint32_t>(row.children.size()));
-          for (const auto& [child, digest] : row.children) {
-            PutFileId(w, child);
-            w.PutU64(digest);
-          }
-        }
-      }
-      return out;
-    }
+  switch (static_cast<PhysOp>(op.value())) {
+    // Connect()'s handshake: the one opcode without a PhysicalApi method.
+    case PhysOp::kGetVolumeInfo:
+      return Respond(StatusOr(std::pair(layer->volume_id(), layer->replica_id())));
+    case PhysOp::kGetAttributes: return Serve(layer, r, &PhysicalApi::GetAttributes);
+    case PhysOp::kSetConflict: return Serve(layer, r, &PhysicalApi::SetConflict);
+    case PhysOp::kReadData: return Serve(layer, r, &PhysicalApi::ReadData);
+    case PhysOp::kReadAllData: return Serve(layer, r, &PhysicalApi::ReadAllData);
+    case PhysOp::kDataSize: return Serve(layer, r, &PhysicalApi::DataSize);
+    case PhysOp::kWriteData: return Serve(layer, r, &PhysicalApi::WriteData);
+    case PhysOp::kTruncateData: return Serve(layer, r, &PhysicalApi::TruncateData);
+    case PhysOp::kInstallVersion: return Serve(layer, r, &PhysicalApi::InstallVersion);
+    case PhysOp::kReadDirectory: return Serve(layer, r, &PhysicalApi::ReadDirectory);
+    case PhysOp::kCreateChild: return Serve(layer, r, &PhysicalApi::CreateChild);
+    case PhysOp::kAddEntry: return Serve(layer, r, &PhysicalApi::AddEntry);
+    case PhysOp::kRemoveEntry: return Serve(layer, r, &PhysicalApi::RemoveEntry);
+    case PhysOp::kRenameEntry: return Serve(layer, r, &PhysicalApi::RenameEntry);
+    case PhysOp::kApplyEntry: return Serve(layer, r, &PhysicalApi::ApplyEntry);
+    case PhysOp::kMergeDirVersion: return Serve(layer, r, &PhysicalApi::MergeDirVersion);
+    case PhysOp::kReadLink: return Serve(layer, r, &PhysicalApi::ReadLink);
+    case PhysOp::kWriteLink: return Serve(layer, r, &PhysicalApi::WriteLink);
+    case PhysOp::kNoteOpen: return Serve(layer, r, &PhysicalApi::NoteOpen);
+    case PhysOp::kNoteClose: return Serve(layer, r, &PhysicalApi::NoteClose);
+    case PhysOp::kApplyEntries: return Serve(layer, r, &PhysicalApi::ApplyEntries);
+    case PhysOp::kReadBlockDigests: return Serve(layer, r, &PhysicalApi::ReadBlockDigests);
+    case PhysOp::kBatchGetAttributes: return Serve(layer, r, &PhysicalApi::BatchGetAttributes);
+    case PhysOp::kReadDirPlus: return Serve(layer, r, &PhysicalApi::ReadDirPlus);
+    case PhysOp::kGetSubtreeDigests: return Serve(layer, r, &PhysicalApi::GetSubtreeDigests);
   }
-  return ErrorResponse(InvalidArgumentError("unknown physical-layer opcode"));
+  return Respond(InvalidArgumentError("unknown physical-layer opcode"));
 }
 
 namespace {
@@ -657,7 +499,7 @@ StatusOr<std::vector<uint8_t>> RemotePhysical::TransactOnce(
     }
   }
   ByteReader r(response);
-  FICUS_RETURN_IF_ERROR(ReadStatusBytes(r));
+  FICUS_RETURN_IF_ERROR(ReadWireStatus(r));
   // Return the tail past the status so callers re-parse from a fresh
   // reader positioned at the results.
   std::vector<uint8_t> results(response.end() - static_cast<ptrdiff_t>(r.remaining()),
@@ -666,300 +508,133 @@ StatusOr<std::vector<uint8_t>> RemotePhysical::TransactOnce(
 }
 
 Status RemotePhysical::Connect() {
-  std::vector<uint8_t> request;
-  ByteWriter w(request);
-  w.PutU8(static_cast<uint8_t>(PhysOp::kGetVolumeInfo));
-  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> results, Transact(request));
+  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> results,
+                         Transact({static_cast<uint8_t>(PhysOp::kGetVolumeInfo)}));
   ByteReader r(results);
-  FICUS_RETURN_IF_ERROR(GetVolumeId(r, volume_));
-  FICUS_ASSIGN_OR_RETURN(replica_, r.GetU32());
-  return OkStatus();
+  return GetAll(r, volume_, replica_);
 }
 
-namespace {
-std::vector<uint8_t> BeginPhysRequest(PhysOp op, FileId file) {
-  std::vector<uint8_t> request;
+template <bool kSingleTrip, typename R, typename... P>
+R RemotePhysical::Call(PhysOp op, R (PhysicalApi::*)(P...), std::type_identity_t<P>... args) {
+  std::vector<uint8_t> request{static_cast<uint8_t>(op)};
   ByteWriter w(request);
-  w.PutU8(static_cast<uint8_t>(op));
-  PutFileId(w, file);
-  return request;
+  PutAll(w, args...);
+  StatusOr<std::vector<uint8_t>> results = Transact(request, kSingleTrip);
+  if constexpr (std::is_same_v<R, Status>) {
+    return results.status();
+  } else {
+    FICUS_RETURN_IF_ERROR(results.status());
+    ByteReader r(results.value());
+    std::remove_cvref_t<decltype(*std::declval<R&>())> value{};
+    FICUS_RETURN_IF_ERROR(Get(r, value));
+    return value;
+  }
 }
-}  // namespace
 
 StatusOr<ReplicaAttributes> RemotePhysical::GetAttributes(FileId file) {
-  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> results,
-                         Transact(BeginPhysRequest(PhysOp::kGetAttributes, file)));
-  ByteReader r(results);
-  return ReplicaAttributes::Deserialize(r);
+  return Call(PhysOp::kGetAttributes, &PhysicalApi::GetAttributes, file);
 }
 
 Status RemotePhysical::SetConflict(FileId file, bool conflict) {
-  std::vector<uint8_t> request = BeginPhysRequest(PhysOp::kSetConflict, file);
-  ByteWriter w(request);
-  w.PutU8(conflict ? 1 : 0);
-  return Transact(request).status();
+  return Call(PhysOp::kSetConflict, &PhysicalApi::SetConflict, file, conflict);
 }
 
 StatusOr<std::vector<FileAttrResult>> RemotePhysical::BatchGetAttributes(
     const std::vector<FileId>& files) {
-  std::vector<uint8_t> request;
-  ByteWriter w(request);
-  w.PutU8(static_cast<uint8_t>(PhysOp::kBatchGetAttributes));
-  w.PutU32(static_cast<uint32_t>(files.size()));
-  for (FileId file : files) {
-    PutFileId(w, file);
-  }
-  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> results, Transact(request));
-  ByteReader r(results);
-  FICUS_ASSIGN_OR_RETURN(uint32_t count, r.GetCount(14));  // FileId + min status bytes
-  std::vector<FileAttrResult> rows;
-  rows.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    FileAttrResult row;
-    FICUS_RETURN_IF_ERROR(GetFileId(r, row.file));
-    row.status = ReadStatusBytes(r);
-    if (row.status.ok()) {
-      FICUS_ASSIGN_OR_RETURN(row.attrs, ReplicaAttributes::Deserialize(r));
-    } else if (row.status.code() == ErrorCode::kCorrupt) {
-      // A marshalling error (vs. a per-file failure shipped in the row)
-      // poisons the rest of the stream.
-      return row.status;
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
+  return Call(PhysOp::kBatchGetAttributes, &PhysicalApi::BatchGetAttributes, files);
 }
 
 StatusOr<std::vector<SubtreeDigest>> RemotePhysical::GetSubtreeDigests(
     const std::vector<FileId>& dirs) {
-  std::vector<uint8_t> request;
-  ByteWriter w(request);
-  w.PutU8(static_cast<uint8_t>(PhysOp::kGetSubtreeDigests));
-  w.PutU32(static_cast<uint32_t>(dirs.size()));
-  for (FileId dir : dirs) {
-    PutFileId(w, dir);
-  }
-  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> results,
-                         Transact(request, /*single_trip=*/true));
-  ByteReader r(results);
-  FICUS_ASSIGN_OR_RETURN(uint32_t count, r.GetCount(14));  // FileId + min status bytes
-  std::vector<SubtreeDigest> rows;
-  rows.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    SubtreeDigest row;
-    FICUS_RETURN_IF_ERROR(GetFileId(r, row.dir));
-    row.status = ReadStatusBytes(r);
-    if (row.status.ok()) {
-      FICUS_ASSIGN_OR_RETURN(row.vv, VersionVector::Deserialize(r));
-      FICUS_ASSIGN_OR_RETURN(row.entry_digest, r.GetU64());
-      FICUS_ASSIGN_OR_RETURN(row.files_digest, r.GetU64());
-      FICUS_ASSIGN_OR_RETURN(row.subtree_digest, r.GetU64());
-      FICUS_ASSIGN_OR_RETURN(uint32_t kids, r.GetCount(16));  // FileId + digest per row
-      row.children.reserve(kids);
-      for (uint32_t k = 0; k < kids; ++k) {
-        FileId child;
-        FICUS_RETURN_IF_ERROR(GetFileId(r, child));
-        FICUS_ASSIGN_OR_RETURN(uint64_t digest, r.GetU64());
-        row.children.emplace_back(child, digest);
-      }
-    } else if (row.status.code() == ErrorCode::kCorrupt) {
-      // A marshalling error (vs. a per-directory failure shipped in the
-      // row) poisons the rest of the stream.
-      return row.status;
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
+  return Call</*kSingleTrip=*/true>(PhysOp::kGetSubtreeDigests, &PhysicalApi::GetSubtreeDigests,
+                                    dirs);
 }
 
 StatusOr<std::vector<uint8_t>> RemotePhysical::ReadData(FileId file, uint64_t offset,
                                                         uint32_t length) {
-  std::vector<uint8_t> request = BeginPhysRequest(PhysOp::kReadData, file);
-  ByteWriter w(request);
-  w.PutU64(offset);
-  w.PutU32(length);
-  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> results, Transact(request));
-  ByteReader r(results);
-  return r.GetBytes();
+  return Call(PhysOp::kReadData, &PhysicalApi::ReadData, file, offset, length);
 }
 
 StatusOr<std::vector<uint8_t>> RemotePhysical::ReadAllData(FileId file) {
-  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> results,
-                         Transact(BeginPhysRequest(PhysOp::kReadAllData, file)));
-  ByteReader r(results);
-  return r.GetBytes();
+  return Call(PhysOp::kReadAllData, &PhysicalApi::ReadAllData, file);
 }
 
 StatusOr<uint64_t> RemotePhysical::DataSize(FileId file) {
-  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> results,
-                         Transact(BeginPhysRequest(PhysOp::kDataSize, file)));
-  ByteReader r(results);
-  return r.GetU64();
+  return Call(PhysOp::kDataSize, &PhysicalApi::DataSize, file);
 }
 
 StatusOr<BlockDigestInfo> RemotePhysical::ReadBlockDigests(FileId file) {
-  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> results,
-                         Transact(BeginPhysRequest(PhysOp::kReadBlockDigests, file)));
-  ByteReader r(results);
-  BlockDigestInfo info;
-  FICUS_ASSIGN_OR_RETURN(info.file_size, r.GetU64());
-  FICUS_ASSIGN_OR_RETURN(uint32_t count, r.GetCount(8));
-  info.digests.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    FICUS_ASSIGN_OR_RETURN(uint64_t digest, r.GetU64());
-    info.digests.push_back(digest);
-  }
-  return info;
+  return Call(PhysOp::kReadBlockDigests, &PhysicalApi::ReadBlockDigests, file);
 }
 
 Status RemotePhysical::WriteData(FileId file, uint64_t offset,
                                  const std::vector<uint8_t>& data) {
-  std::vector<uint8_t> request = BeginPhysRequest(PhysOp::kWriteData, file);
-  ByteWriter w(request);
-  w.PutU64(offset);
-  w.PutBytes(data);
-  return Transact(request).status();
+  return Call(PhysOp::kWriteData, &PhysicalApi::WriteData, file, offset, data);
 }
 
 Status RemotePhysical::TruncateData(FileId file, uint64_t size) {
-  std::vector<uint8_t> request = BeginPhysRequest(PhysOp::kTruncateData, file);
-  ByteWriter w(request);
-  w.PutU64(size);
-  return Transact(request).status();
+  return Call(PhysOp::kTruncateData, &PhysicalApi::TruncateData, file, size);
 }
 
 Status RemotePhysical::InstallVersion(FileId file, const std::vector<uint8_t>& contents,
                                       const VersionVector& vv) {
-  std::vector<uint8_t> request = BeginPhysRequest(PhysOp::kInstallVersion, file);
-  ByteWriter w(request);
-  w.PutBytes(contents);
-  vv.Serialize(w);
-  return Transact(request).status();
+  return Call(PhysOp::kInstallVersion, &PhysicalApi::InstallVersion, file, contents, vv);
 }
 
 StatusOr<std::vector<FicusDirEntry>> RemotePhysical::ReadDirectory(FileId dir) {
-  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> results,
-                         Transact(BeginPhysRequest(PhysOp::kReadDirectory, dir)));
-  ByteReader r(results);
-  FICUS_ASSIGN_OR_RETURN(uint32_t count, r.GetCount(20));
-  std::vector<FicusDirEntry> entries;
-  entries.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    FICUS_ASSIGN_OR_RETURN(FicusDirEntry entry, FicusDirEntry::Deserialize(r));
-    entries.push_back(std::move(entry));
-  }
-  return entries;
+  return Call(PhysOp::kReadDirectory, &PhysicalApi::ReadDirectory, dir);
 }
 
 StatusOr<std::vector<DirEntryPlus>> RemotePhysical::ReadDirPlus(FileId dir) {
-  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> results,
-                         Transact(BeginPhysRequest(PhysOp::kReadDirPlus, dir)));
-  ByteReader r(results);
-  FICUS_ASSIGN_OR_RETURN(uint32_t count, r.GetCount(26));  // entry + min status bytes
-  std::vector<DirEntryPlus> rows;
-  rows.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    DirEntryPlus row;
-    FICUS_ASSIGN_OR_RETURN(row.entry, FicusDirEntry::Deserialize(r));
-    row.attr_status = ReadStatusBytes(r);
-    if (row.attr_status.ok()) {
-      FICUS_ASSIGN_OR_RETURN(row.attrs, ReplicaAttributes::Deserialize(r));
-      FICUS_ASSIGN_OR_RETURN(row.size, r.GetU64());
-    } else if (row.attr_status.code() == ErrorCode::kCorrupt) {
-      // A marshalling error (vs. a per-row failure shipped in the row)
-      // poisons the rest of the stream.
-      return row.attr_status;
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
+  return Call(PhysOp::kReadDirPlus, &PhysicalApi::ReadDirPlus, dir);
 }
 
 StatusOr<FileId> RemotePhysical::CreateChild(FileId dir, std::string_view name,
                                              FicusFileType type, uint32_t owner_uid) {
-  std::vector<uint8_t> request = BeginPhysRequest(PhysOp::kCreateChild, dir);
-  ByteWriter w(request);
-  w.PutString(name);
-  w.PutU8(static_cast<uint8_t>(type));
-  w.PutU32(owner_uid);
-  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> results, Transact(request));
-  ByteReader r(results);
-  FileId file;
-  FICUS_RETURN_IF_ERROR(GetFileId(r, file));
-  return file;
+  return Call(PhysOp::kCreateChild, &PhysicalApi::CreateChild, dir, name, type, owner_uid);
 }
 
 Status RemotePhysical::AddEntry(FileId dir, std::string_view name, FileId target,
                                 FicusFileType type) {
-  std::vector<uint8_t> request = BeginPhysRequest(PhysOp::kAddEntry, dir);
-  ByteWriter w(request);
-  w.PutString(name);
-  PutFileId(w, target);
-  w.PutU8(static_cast<uint8_t>(type));
-  return Transact(request).status();
+  return Call(PhysOp::kAddEntry, &PhysicalApi::AddEntry, dir, name, target, type);
 }
 
 Status RemotePhysical::RemoveEntry(FileId dir, std::string_view name) {
-  std::vector<uint8_t> request = BeginPhysRequest(PhysOp::kRemoveEntry, dir);
-  ByteWriter w(request);
-  w.PutString(name);
-  return Transact(request).status();
+  return Call(PhysOp::kRemoveEntry, &PhysicalApi::RemoveEntry, dir, name);
 }
 
 Status RemotePhysical::RenameEntry(FileId old_dir, std::string_view old_name, FileId new_dir,
                                    std::string_view new_name) {
-  std::vector<uint8_t> request = BeginPhysRequest(PhysOp::kRenameEntry, old_dir);
-  ByteWriter w(request);
-  w.PutString(old_name);
-  PutFileId(w, new_dir);
-  w.PutString(new_name);
-  return Transact(request).status();
+  return Call(PhysOp::kRenameEntry, &PhysicalApi::RenameEntry, old_dir, old_name, new_dir,
+              new_name);
 }
 
 Status RemotePhysical::ApplyEntry(FileId dir, const FicusDirEntry& entry) {
-  std::vector<uint8_t> request = BeginPhysRequest(PhysOp::kApplyEntry, dir);
-  ByteWriter w(request);
-  entry.Serialize(w);
-  return Transact(request).status();
+  return Call(PhysOp::kApplyEntry, &PhysicalApi::ApplyEntry, dir, entry);
 }
 
 Status RemotePhysical::ApplyEntries(FileId dir, const std::vector<FicusDirEntry>& entries) {
-  std::vector<uint8_t> request = BeginPhysRequest(PhysOp::kApplyEntries, dir);
-  ByteWriter w(request);
-  w.PutU32(static_cast<uint32_t>(entries.size()));
-  for (const auto& entry : entries) {
-    entry.Serialize(w);
-  }
-  return Transact(request).status();
+  return Call(PhysOp::kApplyEntries, &PhysicalApi::ApplyEntries, dir, entries);
 }
 
 Status RemotePhysical::MergeDirVersion(FileId dir, const VersionVector& vv) {
-  std::vector<uint8_t> request = BeginPhysRequest(PhysOp::kMergeDirVersion, dir);
-  ByteWriter w(request);
-  vv.Serialize(w);
-  return Transact(request).status();
+  return Call(PhysOp::kMergeDirVersion, &PhysicalApi::MergeDirVersion, dir, vv);
 }
 
 StatusOr<std::string> RemotePhysical::ReadLink(FileId file) {
-  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> results,
-                         Transact(BeginPhysRequest(PhysOp::kReadLink, file)));
-  ByteReader r(results);
-  return r.GetString();
+  return Call(PhysOp::kReadLink, &PhysicalApi::ReadLink, file);
 }
 
 Status RemotePhysical::WriteLink(FileId file, std::string_view target) {
-  std::vector<uint8_t> request = BeginPhysRequest(PhysOp::kWriteLink, file);
-  ByteWriter w(request);
-  w.PutString(target);
-  return Transact(request).status();
+  return Call(PhysOp::kWriteLink, &PhysicalApi::WriteLink, file, target);
 }
 
 Status RemotePhysical::NoteOpen(FileId file) {
-  return Transact(BeginPhysRequest(PhysOp::kNoteOpen, file)).status();
+  return Call(PhysOp::kNoteOpen, &PhysicalApi::NoteOpen, file);
 }
 
 Status RemotePhysical::NoteClose(FileId file) {
-  return Transact(BeginPhysRequest(PhysOp::kNoteClose, file)).status();
+  return Call(PhysOp::kNoteClose, &PhysicalApi::NoteClose, file);
 }
 
 }  // namespace ficus::repl

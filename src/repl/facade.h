@@ -31,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 
 #include "src/repl/physical.h"
 #include "src/vfs/vnode.h"
@@ -73,8 +74,10 @@ enum class PhysOp : uint8_t {
 };
 
 // Executes one marshalled request against a local physical layer and
-// returns the marshalled response (leading Status, then results). Shared
-// by the facade's request and session vnodes.
+// returns the marshalled response. A request is its opcode followed by
+// the arguments of the PhysicalApi method the opcode names, in order; a
+// response is a Status followed, when it is ok, by the method's result.
+// Shared by the facade's request and session vnodes.
 std::vector<uint8_t> ExecutePhysRequest(PhysicalLayer* layer,
                                         const std::vector<uint8_t>& request);
 
@@ -161,6 +164,10 @@ class RemotePhysical : public PhysicalApi {
                                           bool single_trip = false);
   StatusOr<std::vector<uint8_t>> TransactOnce(const std::vector<uint8_t>& request,
                                               const vfs::OpContext& ctx, bool single_trip);
+  // Ships `op` with `args`, the arguments of the PhysicalApi `method` it
+  // names, through Transact and decodes the method's result.
+  template <bool kSingleTrip = false, typename R, typename... P>
+  R Call(PhysOp op, R (PhysicalApi::*method)(P...), std::type_identity_t<P>... args);
 
   // Guards root_ against a concurrent stale-handle refresh; snapshotted
   // before each transaction so the lock is never held across the call.

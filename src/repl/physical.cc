@@ -1175,6 +1175,9 @@ Status PhysicalLayer::RenameEntry(FileId old_dir, std::string_view old_name, Fil
   }
   std::vector<FicusDirEntry>& new_entries = same_dir ? old_entries : other_entries;
   auto displaced = FindAliveByPresentedName(new_entries, new_name);
+  if (same_dir && displaced.ok() && *displaced == index) {
+    return OkStatus();  // renaming an entry onto itself changes nothing (POSIX)
+  }
   if (displaced.ok()) {
     Displace(new_entries[*displaced]);
   }

@@ -116,9 +116,7 @@ std::vector<FicusDirEntry> PresentEntries(const std::vector<FicusDirEntry>& entr
 
 StatusOr<std::vector<FicusDirEntry>> DeserializeDirEntries(const std::vector<uint8_t>& bytes) {
   ByteReader r(bytes);
-  // Minimum serialized entry: empty name (2) + file id (8) + type (1) +
-  // alive (1) + two empty version vectors (4 + 4) = 20 bytes.
-  FICUS_ASSIGN_OR_RETURN(uint32_t count, r.GetCount(20));
+  FICUS_ASSIGN_OR_RETURN(uint32_t count, r.GetCount(FicusDirEntry::kMinWireSize));
   std::vector<FicusDirEntry> entries;
   entries.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

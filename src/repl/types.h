@@ -62,6 +62,11 @@ struct FicusDirEntry {
   // content judgement — the file lives on under its new name).
   VersionVector deleted_file_vv;
 
+  // Smallest serialized entry: empty name (2) + file id (8) + type (1) +
+  // alive (1) + two empty version vectors (4 + 4). Bounds untrusted
+  // entry counts.
+  static constexpr size_t kMinWireSize = 20;
+
   void Serialize(ByteWriter& w) const;
   static StatusOr<FicusDirEntry> Deserialize(ByteReader& r);
 };

@@ -12,6 +12,7 @@
 #include "src/repl/physical.h"
 #include "src/vfs/pass_through.h"
 #include "src/vfs/path_ops.h"
+#include "src/vfs/syscalls.h"
 #include "tests/repl/replica_fixture.h"
 
 namespace ficus::repl {
@@ -155,6 +156,24 @@ TEST_F(FullStackTest, ColdOpenCostsFourExtraReads) {
 
   EXPECT_GT(cold_reads, 4u);  // includes the normal Unix reads too
   EXPECT_EQ(warm_reads, 0u);
+}
+
+TEST_F(FullStackTest, RenameOntoItselfKeepsTheFile) {
+  SpliceResolver resolver;
+  resolver.Add(1, physical_.get());
+  LogicalLayer logical(VolumeId{1, 1}, &resolver, nullptr, nullptr, &clock_);
+  vfs::SyscallInterface sys(&logical);
+  ASSERT_TRUE(vfs::WriteFileAt(&logical, "a", "contents").ok());
+  ASSERT_TRUE(sys.Rename("/a", "/a").ok());
+  auto collected = physical_->GarbageCollect();
+  ASSERT_TRUE(collected.ok());
+  EXPECT_EQ(collected.value(), 0);
+  auto contents = vfs::ReadFileAt(&logical, "a");
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  EXPECT_EQ(contents.value(), "contents");
+  auto problems = physical_->CheckConsistency();
+  ASSERT_TRUE(problems.ok());
+  EXPECT_TRUE(problems->empty()) << problems->front();
 }
 
 TEST_F(FullStackTest, UfsStaysCleanUnderFicusTraffic) {

@@ -200,6 +200,41 @@ TEST_F(FacadeTest, BatchGetAttributesThroughProxy) {
   EXPECT_EQ((*rows)[2].status.code(), ErrorCode::kNotFound);
 }
 
+TEST_F(FacadeTest, OutOfRangeFileTypesAreRefused) {
+  auto file = layer_->CreateChild(kRootFileId, "f", FicusFileType::kRegular, 0);
+  ASSERT_TRUE(file.ok());
+  for (uint8_t type : {0, 5}) {
+    std::vector<uint8_t> create;
+    ByteWriter c(create);
+    c.PutU8(static_cast<uint8_t>(PhysOp::kCreateChild));
+    PutFileId(c, kRootFileId);
+    c.PutString("bad");
+    c.PutU8(type);
+    c.PutU32(0);
+    std::vector<uint8_t> add;
+    ByteWriter a(add);
+    a.PutU8(static_cast<uint8_t>(PhysOp::kAddEntry));
+    PutFileId(a, kRootFileId);
+    a.PutString("alias");
+    PutFileId(a, *file);
+    a.PutU8(type);
+    for (const auto& request : {create, add}) {
+      std::vector<uint8_t> response = ExecutePhysRequest(layer_.get(), request);
+      ByteReader r(response);
+      EXPECT_EQ(ReadWireStatus(r).code(), ErrorCode::kCorrupt)
+          << "opcode " << static_cast<int>(request[0]) << ", type " << static_cast<int>(type);
+    }
+  }
+  auto problems = layer_->CheckConsistency();
+  ASSERT_TRUE(problems.ok());
+  EXPECT_TRUE(problems->empty()) << problems->front();
+  PhysicalLayer fresh(&ufs_, &clock_);
+  ASSERT_TRUE(fresh.Attach("vol1").ok());
+  auto entries = fresh.ReadDirectory(kRootFileId);
+  ASSERT_TRUE(entries.ok());
+  EXPECT_EQ(entries->size(), 1u);  // only "f"
+}
+
 // The real deployment: proxy -> NFS client -> network -> NFS server ->
 // facade -> physical layer. Open/close information survives because it is
 // encoded in lookup names, which NFS forwards verbatim.

@@ -142,6 +142,31 @@ TEST_F(PhysicalTest, RenameWithinDirectory) {
   EXPECT_EQ(alive, 1);
 }
 
+TEST_F(PhysicalTest, RenameOntoItselfChangesNothing) {
+  auto file = layer_->CreateChild(kRootFileId, "a", FicusFileType::kRegular, 0);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(layer_->WriteData(*file, 0, {4, 2}).ok());
+  auto before = layer_->GetAttributes(kRootFileId);
+  ASSERT_TRUE(before.ok());
+  const uint64_t writes_before = device_.stats().writes;
+
+  ASSERT_TRUE(layer_->RenameEntry(kRootFileId, "a", kRootFileId, "a").ok());
+
+  EXPECT_EQ(device_.stats().writes, writes_before);
+  auto after = layer_->GetAttributes(kRootFileId);
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after->vv == before->vv);
+  auto problems = layer_->CheckConsistency();
+  ASSERT_TRUE(problems.ok());
+  EXPECT_TRUE(problems->empty()) << problems->front();
+  auto collected = layer_->GarbageCollect();
+  ASSERT_TRUE(collected.ok());
+  EXPECT_EQ(collected.value(), 0);
+  auto data = layer_->ReadAllData(*file);
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(data.value(), (std::vector<uint8_t>{4, 2}));
+}
+
 TEST_F(PhysicalTest, RenameAcrossDirectoriesKeepsStorage) {
   auto dir = layer_->CreateChild(kRootFileId, "d", FicusFileType::kDirectory, 0);
   auto file = layer_->CreateChild(kRootFileId, "f", FicusFileType::kRegular, 0);
