@@ -13,10 +13,18 @@
 //     N+1 pattern (readdir + per-entry lookup + getattr) vs one batched
 //     ReaddirPlus;
 //   * runtime comparison: the same warm workload under the deterministic
-//     and threaded runtimes, with hit counts required to match.
+//     and threaded runtimes, with hit counts required to match;
+//   * directory updates: per-name DirAdd/DirRemove/DirRepoint on a bare
+//     UFS directory and CreateChild/RemoveEntry on the physical layer, in
+//     wall µs and device writes per op, at 10^3..10^5 entries. The bench
+//     exits 1 when a UFS row's writes per op at the largest size exceed
+//     1.5x those at the smallest (ROADMAP item 1's gate, UFS half); the
+//     physical rows are reported, not gated, because StoreDirEntries still
+//     rewrites the whole Ficus directory file.
 //
-// Wall-clock leaves (_us keys, speedup) are volatile; hit/miss/RPC
-// counters are deterministic and gated against bench/baselines/lookup.json.
+// Wall-clock leaves (_us keys, speedup) are volatile; hit/miss/RPC and
+// device-write counters are deterministic and gated against
+// bench/baselines/lookup.json.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -27,9 +35,12 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/status.h"
 #include "src/repl/logical.h"
 #include "src/repl/physical.h"
 #include "src/sim/cluster.h"
+#include "src/storage/buffer_cache.h"
+#include "src/ufs/ufs.h"
 #include "src/vfs/path_ops.h"
 
 namespace {
@@ -276,6 +287,90 @@ ScanResult MeasureScan(size_t entries, const RuntimeOptions& runtime) {
   return result;
 }
 
+// Wall µs and device writes per op, averaged over one timed phase.
+struct OpCost {
+  double us = 0;
+  double writes = 0;
+};
+
+struct UpdateRow {
+  size_t entries = 0;
+  OpCost ufs_add, ufs_remove, ufs_repoint;  // bare UFS directory
+  OpCost create_child, remove_entry;        // physical layer
+};
+
+void ExitUnlessOk(const Status& status, const char* what, size_t entries) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s(%zu) failed: %s\n", what, entries, status.ToString().c_str());
+    std::exit(2);
+  }
+}
+
+// Runs `op(i)` for i in [0, count), failing the bench on the first error.
+template <typename Op>
+OpCost TimeOps(const storage::BlockDevice& device, size_t count, Op op) {
+  const uint64_t writes_before = device.stats().writes;
+  auto start = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < count; ++i) {
+    ExitUnlessOk(op(i), "directory update", i);
+  }
+  OpCost cost;
+  cost.us = ElapsedUs(start) / static_cast<double>(count);
+  cost.writes = static_cast<double>(device.stats().writes - writes_before) /
+                static_cast<double>(count);
+  return cost;
+}
+
+// One flat UFS directory of `entries` names, populated by one CreateFiles
+// batch. Removes a strided sample, re-adds the same names (each refills
+// the room its remove freed, so no add re-lays out), then repoints them.
+void MeasureUfsUpdates(UpdateRow& row) {
+  const size_t entries = row.entries;
+  storage::BlockDevice device(static_cast<uint32_t>(entries / 8 + 8192));
+  storage::BufferCache cache(&device, 2048);
+  ufs::Ufs fs(&cache);
+  ExitUnlessOk(fs.Format(static_cast<uint32_t>(entries + 64)), "ufs format", entries);
+  auto dir = fs.CreateFile(ufs::kRootInode, "d", ufs::FileType::kDirectory, 0755, 0, 0);
+  ExitUnlessOk(dir.status(), "ufs mkdir", entries);
+  const std::vector<std::string> names = MakeNames(entries);
+  auto inos = fs.CreateFiles(*dir, names, ufs::FileType::kRegular, 0644, 0, 0);
+  ExitUnlessOk(inos.status(), "ufs populate", entries);
+  const size_t sample = 256;
+  const size_t stride = entries / sample;
+  row.ufs_remove = TimeOps(device, sample, [&](size_t i) {
+    return fs.DirRemove(*dir, names[i * stride]);
+  });
+  row.ufs_add = TimeOps(device, sample, [&](size_t i) {
+    return fs.DirAdd(*dir, names[i * stride], (*inos)[i * stride], ufs::FileType::kRegular);
+  });
+  row.ufs_repoint = TimeOps(device, sample, [&](size_t i) {
+    return fs.DirRepoint(*dir, names[i * stride], (*inos)[i * stride + 1]);
+  });
+}
+
+// CreateChild then RemoveEntry of new names in the populated root of a
+// one-host volume.
+void MeasurePhysicalUpdates(UpdateRow& row, const RuntimeOptions& runtime) {
+  sim::Cluster cluster(runtime);
+  sim::FicusHost* a = cluster.AddHost("a", ConfigFor(row.entries));
+  auto volume = cluster.CreateVolume({a});
+  auto* phys = dynamic_cast<repl::PhysicalLayer*>(*a->Access(*volume, 1));
+  ExitUnlessOk(phys->CreateChildren(repl::kRootFileId, MakeNames(row.entries),
+                                    repl::FicusFileType::kRegular, /*owner_uid=*/1)
+                   .status(),
+               "populate", row.entries);
+  const size_t sample = 16;
+  row.create_child = TimeOps(a->device(), sample, [&](size_t i) {
+    return phys
+        ->CreateChild(repl::kRootFileId, "new" + std::to_string(i), repl::FicusFileType::kRegular,
+                      /*owner_uid=*/1)
+        .status();
+  });
+  row.remove_entry = TimeOps(a->device(), sample, [&](size_t i) {
+    return phys->RemoveEntry(repl::kRootFileId, "new" + std::to_string(i));
+  });
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -375,6 +470,58 @@ int main(int argc, char** argv) {
   json << "],\"hits_match\":" << (hits_match ? "true" : "false") << "}";
   std::printf("hit counts %s across runtimes\n", hits_match ? "match" : "DIFFER");
 
+  std::printf("\nDirectory updates — one flat directory, per op: wall us / device writes\n");
+  std::printf("%10s | %16s %16s %16s | %16s %16s\n", "entries", "ufs DirAdd", "ufs DirRemove",
+              "ufs DirRepoint", "CreateChild", "RemoveEntry");
+  const std::vector<size_t> update_sizes =
+      smoke ? std::vector<size_t>{1000, 10000} : std::vector<size_t>{1000, 10000, 100000};
+  std::vector<UpdateRow> updates;
+  json << ",\"dir_updates\":[";
+  for (size_t entries : update_sizes) {
+    Progress("directory updates", entries);
+    UpdateRow row;
+    row.entries = entries;
+    MeasureUfsUpdates(row);
+    MeasurePhysicalUpdates(row, runtime);
+    auto cell = [](const OpCost& c) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%9.1f / %5.1f", c.us, c.writes);
+      return std::string(buf);
+    };
+    std::printf("%10zu | %16s %16s %16s | %16s %16s\n", entries, cell(row.ufs_add).c_str(),
+                cell(row.ufs_remove).c_str(), cell(row.ufs_repoint).c_str(),
+                cell(row.create_child).c_str(), cell(row.remove_entry).c_str());
+    if (!updates.empty()) json << ",";
+    json << "{\"entries\":" << entries;
+    const std::pair<const char*, const OpCost*> leaves[] = {
+        {"ufs_add", &row.ufs_add},           {"ufs_remove", &row.ufs_remove},
+        {"ufs_repoint", &row.ufs_repoint},   {"create_child", &row.create_child},
+        {"remove_entry", &row.remove_entry}};
+    for (const auto& [name, cost] : leaves) {
+      json << ",\"" << name << "_us\":" << cost->us << ",\"" << name
+           << "_writes\":" << cost->writes;
+    }
+    json << "}";
+    updates.push_back(row);
+  }
+  json << "]";
+  // Item 1's gate, UFS half: a one-name edit costs the same device writes
+  // at every directory size.
+  bool flat = true;
+  const UpdateRow& smallest = updates.front();
+  const UpdateRow& largest = updates.back();
+  const std::pair<const char*, double> growth[] = {
+      {"DirAdd", largest.ufs_add.writes / smallest.ufs_add.writes},
+      {"DirRemove", largest.ufs_remove.writes / smallest.ufs_remove.writes},
+      {"DirRepoint", largest.ufs_repoint.writes / smallest.ufs_repoint.writes}};
+  for (const auto& [op, ratio] : growth) {
+    if (ratio > 1.5) {
+      std::printf("FAIL: ufs %s writes %.2fx more per op at %zu entries than at %zu\n", op,
+                  ratio, largest.entries, smallest.entries);
+      flat = false;
+    }
+  }
+
   json << "}";
   std::ofstream out("BENCH_lookup.json");
   out << json.str() << "\n";
@@ -382,6 +529,7 @@ int main(int argc, char** argv) {
   std::printf("\nShape check: warm lookups cost the cache probe plus one attribute\n"
               "read regardless of directory size, where the uncached path re-reads\n"
               "and re-scans the directory per component; readdirplus collapses the\n"
-              "2N+1 RPCs of a remote ls -l into one batched call.\n");
-  return 0;
+              "2N+1 RPCs of a remote ls -l into one batched call; a one-name UFS\n"
+              "directory edit writes the same few blocks at every directory size.\n");
+  return flat ? 0 : 1;
 }

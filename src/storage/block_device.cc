@@ -65,9 +65,12 @@ Status BlockDevice::Write(BlockNum block, const std::vector<uint8_t>& data) {
   if (data.size() != kBlockSize) {
     return InvalidArgumentError("write must be exactly one block");
   }
-  if (crashed_) {
+  if (writes_before_crash_ == 0) {
     ++stats_.dropped_writes;
     return OkStatus();  // The caller believes the write happened.
+  }
+  if (writes_before_crash_ != kNoCrash) {
+    --writes_before_crash_;
   }
   ++stats_.writes;
   std::memcpy(BlockData(block), data.data(), kBlockSize);

@@ -1,8 +1,9 @@
 // Simulated block device backing a UFS instance. Counts every read and
 // write so benchmarks can reproduce the paper's section 6 I/O accounting
 // (4 extra I/Os on a cold Ficus open, none on a warm one). Supports fault
-// injection: a crash point after which writes are dropped, used to test the
-// shadow-file atomic commit recovery path. Thread-safe: one mutex
+// injection: a crash point after which writes are dropped, now or after the
+// next k writes, so a test can cut an operation at every device write.
+// Thread-safe: one mutex
 // serializes block I/O (the device is the bottom of the lock order; it
 // never calls out while holding it).
 #ifndef FICUS_SRC_STORAGE_BLOCK_DEVICE_H_
@@ -24,7 +25,7 @@ using BlockNum = uint32_t;
 struct DeviceStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
-  uint64_t dropped_writes = 0;  // writes swallowed after InjectCrash()
+  uint64_t dropped_writes = 0;  // writes swallowed after a crash point
 };
 
 class BlockDevice {
@@ -40,7 +41,7 @@ class BlockDevice {
   // Reads block into out (exactly kBlockSize bytes).
   Status Read(BlockNum block, std::vector<uint8_t>& out);
 
-  // Writes exactly kBlockSize bytes to block. After InjectCrash() the write
+  // Writes exactly kBlockSize bytes to block. Past a crash point the write
   // is silently dropped (the "power failed before the platter moved" model).
   Status Write(BlockNum block, const std::vector<uint8_t>& data);
 
@@ -53,19 +54,19 @@ class BlockDevice {
     stats_ = DeviceStats{};
   }
 
-  // All subsequent writes are dropped until ClearCrash(). Reads still serve
-  // the pre-crash contents, modeling recovery from the surviving image.
-  void InjectCrash() {
+  // The next `writes` writes land; every one after them is dropped until
+  // ClearCrash(). Reads still serve what landed, modeling recovery from
+  // the surviving image.
+  void CrashAfterWrites(uint64_t writes) {
     std::lock_guard<std::mutex> lock(mu_);
-    crashed_ = true;
+    writes_before_crash_ = writes;
   }
-  void ClearCrash() {
-    std::lock_guard<std::mutex> lock(mu_);
-    crashed_ = false;
-  }
+  // All subsequent writes are dropped: CrashAfterWrites(0).
+  void InjectCrash() { CrashAfterWrites(0); }
+  void ClearCrash() { CrashAfterWrites(kNoCrash); }
   bool crashed() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return crashed_;
+    return writes_before_crash_ == 0;
   }
 
  private:
@@ -82,7 +83,8 @@ class BlockDevice {
   size_t mapping_bytes_ = 0;
   uint8_t* blocks_ = nullptr;
   DeviceStats stats_;
-  bool crashed_ = false;
+  static constexpr uint64_t kNoCrash = UINT64_MAX;
+  uint64_t writes_before_crash_ = kNoCrash;
 };
 
 }  // namespace ficus::storage

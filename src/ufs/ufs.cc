@@ -1,6 +1,7 @@
 #include "src/ufs/ufs.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <unordered_set>
 
@@ -77,200 +78,140 @@ Status DeserializeInode(const uint8_t* in, Inode& inode) {
   return OkStatus();
 }
 
-// Parses one bucket's record run: u32 ino | u8 type | u16 name_len | name.
-Status ParseDirRecords(ByteReader& r, std::vector<UfsDirEntry>& entries) {
-  while (!r.AtEnd()) {
-    UfsDirEntry e;
-    FICUS_ASSIGN_OR_RETURN(e.ino, r.GetU32());
-    FICUS_ASSIGN_OR_RETURN(uint8_t type, r.GetU8());
-    e.type = static_cast<FileType>(type);
-    FICUS_ASSIGN_OR_RETURN(e.name, r.GetString());
-    entries.push_back(std::move(e));
+// Directory slots (format in ufs.h): the header slot leads with magic,
+// bucket count and slot size; a bucket slot holds a u16 used length, then
+// records of u32 ino | u8 type | u16 name_len | name. Little-endian.
+constexpr size_t kDirHeaderBytes = 12;
+constexpr size_t kDirRecordHeader = 7;
+
+uint16_t LoadU16(const uint8_t* p) { return static_cast<uint16_t>(p[0] | p[1] << 8); }
+
+uint32_t LoadU32(const uint8_t* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24;
+}
+
+void StoreU16(uint8_t* p, uint16_t v) {
+  p[0] = static_cast<uint8_t>(v);
+  p[1] = static_cast<uint8_t>(v >> 8);
+}
+
+void StoreU32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    p[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+bool IsPowerOfTwo(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
+
+uint32_t BucketFor(std::string_view name, size_t buckets) {
+  return UfsNameHash(name) & static_cast<uint32_t>(buckets - 1);
+}
+
+// Bytes one bucket takes in its slot.
+size_t SlotUsed(const std::vector<UfsDirEntry>& bucket) {
+  size_t used = 2;
+  for (const UfsDirEntry& e : bucket) {
+    used += kDirRecordHeader + e.name.size();
+  }
+  return used;
+}
+
+// Writes `bucket` as one whole slot, zeroing what its records leave.
+void EncodeSlot(const std::vector<UfsDirEntry>& bucket, uint8_t* slot, uint32_t slot_bytes) {
+  size_t pos = 2;
+  for (const UfsDirEntry& e : bucket) {
+    StoreU32(slot + pos, e.ino);
+    slot[pos + 4] = static_cast<uint8_t>(e.type);
+    StoreU16(slot + pos + 5, static_cast<uint16_t>(e.name.size()));
+    std::memcpy(slot + pos + kDirRecordHeader, e.name.data(), e.name.size());
+    pos += kDirRecordHeader + e.name.size();
+  }
+  StoreU16(slot, static_cast<uint16_t>(pos - 2));
+  std::memset(slot + pos, 0, slot_bytes - pos);
+}
+
+// Reads the bucket count and slot size from the first `header_bytes` of
+// an image `image_bytes` long, and checks both and the length they imply.
+Status ParseDirHeader(const uint8_t* header, size_t header_bytes, uint64_t image_bytes,
+                      uint32_t& buckets, uint32_t& slot_bytes) {
+  if (header_bytes < 4 || LoadU32(header) != kUfsDirMagic) {
+    return CorruptError("directory image lacks the slotted-format magic");
+  }
+  if (header_bytes < kDirHeaderBytes) {
+    return CorruptError("directory header truncated");
+  }
+  buckets = LoadU32(header + 4);
+  slot_bytes = LoadU32(header + 8);
+  if (!IsPowerOfTwo(buckets) || buckets > kUfsDirMaxBuckets) {
+    return CorruptError("directory bucket count " + std::to_string(buckets) + " invalid");
+  }
+  if (!IsPowerOfTwo(slot_bytes) || slot_bytes < kUfsDirMinSlotBytes ||
+      slot_bytes > kUfsDirMaxSlotBytes) {
+    return CorruptError("directory slot size " + std::to_string(slot_bytes) + " invalid");
+  }
+  if ((uint64_t{buckets} + 1) * slot_bytes != image_bytes) {
+    return CorruptError("directory image is " + std::to_string(image_bytes) +
+                        " bytes, not (bucket count + 1) x slot size");
   }
   return OkStatus();
 }
 
-// Serializes entries in the hashed on-disk format (see ufs.h): header,
-// bucket table, then per-bucket record runs.
-std::vector<uint8_t> SerializeDir(const std::vector<UfsDirEntry>& entries) {
-  uint32_t buckets = UfsDirBucketCount(entries.size());
-  std::vector<std::vector<uint8_t>> runs(buckets);
-  for (const auto& e : entries) {
-    ByteWriter w(runs[UfsNameHash(e.name) & (buckets - 1)]);
-    w.PutU32(e.ino);
-    w.PutU8(static_cast<uint8_t>(e.type));
-    w.PutString(e.name);
-  }
-  std::vector<uint8_t> out;
-  ByteWriter w(out);
-  w.PutU32(kUfsDirMagic);
-  w.PutU32(buckets);
-  w.PutU32(static_cast<uint32_t>(entries.size()));
-  w.PutU32(0);
-  uint32_t offset = 0;
-  for (const auto& run : runs) {
-    w.PutU32(offset);
-    w.PutU32(static_cast<uint32_t>(run.size()));
-    offset += static_cast<uint32_t>(run.size());
-  }
-  for (const auto& run : runs) {
-    out.insert(out.end(), run.begin(), run.end());
-  }
-  return out;
-}
-
-bool IsHashedDir(const std::vector<uint8_t>& data) {
-  if (data.size() < kUfsDirHeaderBytes) {
-    return false;
-  }
-  uint32_t first = 0;
-  std::memcpy(&first, data.data(), 4);
-  return first == kUfsDirMagic;
-}
-
-// A zero-length image is the never-written empty directory; any other
-// image must be hashed.
-StatusOr<std::vector<UfsDirEntry>> DeserializeDir(const std::vector<uint8_t>& data) {
-  std::vector<UfsDirEntry> entries;
-  if (data.empty()) {
-    return entries;
-  }
-  if (!IsHashedDir(data)) {
-    return CorruptError("directory image lacks the hashed-format magic");
-  }
-  ByteReader r(data);
-  FICUS_RETURN_IF_ERROR(r.GetU32().status());  // magic
-  FICUS_ASSIGN_OR_RETURN(uint32_t buckets, r.GetU32());
-  FICUS_ASSIGN_OR_RETURN(uint32_t count, r.GetU32());
-  FICUS_RETURN_IF_ERROR(r.GetU32().status());  // reserved
-  if (buckets == 0 || (buckets & (buckets - 1)) != 0 ||
-      buckets > data.size() / 8 + 1) {
-    return CorruptError("hashed directory bucket count invalid");
-  }
-  size_t record_area = kUfsDirHeaderBytes + static_cast<size_t>(buckets) * 8;
-  if (record_area > data.size()) {
-    return CorruptError("hashed directory bucket table truncated");
-  }
-  std::vector<uint8_t> run;
-  for (uint32_t b = 0; b < buckets; ++b) {
-    FICUS_ASSIGN_OR_RETURN(uint32_t offset, r.GetU32());
-    FICUS_ASSIGN_OR_RETURN(uint32_t length, r.GetU32());
-    if (length == 0) {
-      continue;
-    }
-    if (record_area + offset + length > data.size() || offset + length < offset) {
-      return CorruptError("hashed directory bucket out of range");
-    }
-    run.assign(data.begin() + static_cast<ptrdiff_t>(record_area + offset),
-               data.begin() + static_cast<ptrdiff_t>(record_area + offset + length));
-    ByteReader rr(run);
-    FICUS_RETURN_IF_ERROR(ParseDirRecords(rr, entries));
-  }
-  if (entries.size() != count) {
-    return CorruptError("hashed directory entry count mismatch");
-  }
-  return entries;
-}
-
-// Structural validation of one directory image for fsck: a non-empty
-// image must be hashed, place every record in the bucket its name hashes
-// to, and carry an honest header count — that is what DirHashLookup's
-// one-bucket read relies on.
-void ValidateDirImage(InodeNum ino, const std::vector<uint8_t>& data,
-                      std::vector<std::string>& problems) {
-  auto report = [&](const std::string& what) {
-    problems.push_back("directory inode " + std::to_string(ino) + ": " + what);
+// Parses the slot of bucket `b` (of `buckets`) into `out`. Refuses a used
+// length past the slot, a torn record, an unknown type, a name that hashes
+// to another bucket, and a name stored twice.
+Status ParseSlot(const uint8_t* slot, uint32_t slot_bytes, uint32_t b, uint32_t buckets,
+                 std::vector<UfsDirEntry>& out) {
+  auto corrupt = [b](const std::string& what) {
+    return CorruptError("bucket " + std::to_string(b) + ": " + what);
   };
-  if (data.empty()) {
-    return;
+  const size_t end = 2 + size_t{LoadU16(slot)};
+  if (end > slot_bytes) {
+    return corrupt("used length runs past the slot");
   }
-  if (!IsHashedDir(data)) {
-    report("image lacks the hashed-format magic");
-    return;
-  }
-  ByteReader r(data);
-  (void)r.GetU32();
-  auto buckets_or = r.GetU32();
-  auto count_or = r.GetU32();
-  (void)r.GetU32();
-  if (!buckets_or.ok() || !count_or.ok()) {
-    report("header truncated");
-    return;
-  }
-  uint32_t buckets = *buckets_or;
-  uint32_t count = *count_or;
-  if (buckets == 0 || (buckets & (buckets - 1)) != 0) {
-    report("bucket count " + std::to_string(buckets) + " is not a power of two");
-    return;
-  }
-  size_t record_area = kUfsDirHeaderBytes + static_cast<size_t>(buckets) * 8;
-  if (record_area > data.size()) {
-    report("bucket table extends past end of file");
-    return;
-  }
-  uint32_t expected_offset = 0;
-  size_t seen = 0;
-  for (uint32_t b = 0; b < buckets; ++b) {
-    auto offset = r.GetU32();
-    auto length = r.GetU32();
-    if (!offset.ok() || !length.ok()) {
-      report("bucket table truncated");
-      return;
+  for (size_t pos = 2; pos < end;) {
+    if (end - pos < kDirRecordHeader) {
+      return corrupt("truncated record");
     }
-    if (*offset != expected_offset) {
-      report("bucket " + std::to_string(b) + " offset " + std::to_string(*offset) +
-             " != expected " + std::to_string(expected_offset));
-      return;
+    UfsDirEntry e;
+    e.ino = LoadU32(slot + pos);
+    const uint8_t type = slot[pos + 4];
+    const size_t len = LoadU16(slot + pos + 5);
+    pos += kDirRecordHeader;
+    if (len > end - pos) {
+      return corrupt("truncated name");
     }
-    if (record_area + *offset + *length > data.size()) {
-      report("bucket " + std::to_string(b) + " run out of range");
-      return;
+    if (type == 0 || type > static_cast<uint8_t>(FileType::kSymlink)) {
+      return corrupt("bad entry type " + std::to_string(type));
     }
-    std::vector<uint8_t> run(
-        data.begin() + static_cast<ptrdiff_t>(record_area + *offset),
-        data.begin() + static_cast<ptrdiff_t>(record_area + *offset + *length));
-    ByteReader rr(run);
-    std::vector<UfsDirEntry> in_bucket;
-    if (!ParseDirRecords(rr, in_bucket).ok()) {
-      report("bucket " + std::to_string(b) + " records corrupt");
-      return;
+    e.type = static_cast<FileType>(type);
+    e.name.assign(reinterpret_cast<const char*>(slot + pos), len);
+    pos += len;
+    if (BucketFor(e.name, buckets) != b) {
+      return corrupt("entry '" + e.name + "' hashes to bucket " +
+                     std::to_string(BucketFor(e.name, buckets)));
     }
-    for (const auto& e : in_bucket) {
-      if ((UfsNameHash(e.name) & (buckets - 1)) != b) {
-        report("entry '" + e.name + "' stored in bucket " + std::to_string(b) +
-               " but hashes to bucket " +
-               std::to_string(UfsNameHash(e.name) & (buckets - 1)));
+    for (const UfsDirEntry& other : out) {
+      if (other.name == e.name) {
+        return corrupt("name '" + e.name + "' stored twice");
       }
     }
-    seen += in_bucket.size();
-    expected_offset = *offset + *length;
-  }
-  if (record_area + expected_offset != data.size()) {
-    report("record area has " +
-           std::to_string(data.size() - record_area - expected_offset) +
-           " trailing bytes");
-  }
-  if (seen != count) {
-    report("header entry count " + std::to_string(count) + " != stored " +
-           std::to_string(seen));
-  }
-}
-
-// Fails unless every name is a well-formed component, absent from the
-// directory whose names are `taken`, and unique within the batch.
-Status CheckNewNames(const std::unordered_map<std::string, size_t>& taken,
-                     const std::vector<std::string>& names) {
-  std::unordered_set<std::string_view> batch;
-  for (const std::string& name : names) {
-    if (name.empty() || name.size() > vfs::kMaxComponentLength ||
-        name.find('/') != std::string::npos) {
-      return InvalidArgumentError("bad directory entry name");
-    }
-    if (taken.count(name) != 0 || !batch.insert(name).second) {
-      return ExistsError(name);
-    }
+    out.push_back(std::move(e));
   }
   return OkStatus();
+}
+
+// Data plus pointer blocks of a file `bytes` long without holes.
+uint64_t FileFootprint(uint64_t bytes) {
+  const uint64_t blocks = (bytes + kBlockSize - 1) / kBlockSize;
+  uint64_t total = blocks;
+  if (blocks > kDirectBlocks) {
+    ++total;
+  }
+  if (blocks > kDirectBlocks + kPointersPerBlock) {
+    const uint64_t deep = blocks - kDirectBlocks - kPointersPerBlock;
+    total += 1 + (deep + kPointersPerBlock - 1) / kPointersPerBlock;
+  }
+  return total;
 }
 
 }  // namespace
@@ -282,14 +223,6 @@ uint32_t UfsNameHash(std::string_view name) {
     h *= 16777619u;
   }
   return h;
-}
-
-uint32_t UfsDirBucketCount(size_t entry_count) {
-  uint32_t buckets = 1;
-  while (buckets < 65536 && static_cast<size_t>(buckets) * 8 < entry_count) {
-    buckets <<= 1;
-  }
-  return buckets;
 }
 
 Ufs::Ufs(storage::BufferCache* cache, const Clock* clock) : cache_(cache), clock_(clock) {}
@@ -317,8 +250,6 @@ Status Ufs::WriteSuperBlock() {
   w.PutU32(sb_.inode_table_start);
   w.PutU32(sb_.inode_table_blocks);
   w.PutU32(sb_.data_start);
-  w.PutU32(sb_.free_blocks);
-  w.PutU32(sb_.free_inodes);
   w.PutU32(sb_.journal_start);
   w.PutU32(sb_.journal_blocks);
   block.resize(kBlockSize, 0);
@@ -355,8 +286,8 @@ Status Ufs::Format(uint32_t inode_count) {
   if (sb_.data_start >= block_count) {
     return NoSpaceError("metadata exceeds device size");
   }
-  sb_.free_blocks = block_count - sb_.data_start;
-  sb_.free_inodes = inode_count - 1;  // inode 0 is never used
+  free_blocks_ = block_count - sb_.data_start;
+  free_inodes_ = inode_count - 1;  // inode 0 is never used
 
   // Zero all metadata blocks.
   std::vector<uint8_t> zero(kBlockSize, 0);
@@ -398,8 +329,6 @@ Status Ufs::Mount() {
   FICUS_ASSIGN_OR_RETURN(sb_.inode_table_start, r.GetU32());
   FICUS_ASSIGN_OR_RETURN(sb_.inode_table_blocks, r.GetU32());
   FICUS_ASSIGN_OR_RETURN(sb_.data_start, r.GetU32());
-  FICUS_ASSIGN_OR_RETURN(sb_.free_blocks, r.GetU32());
-  FICUS_ASSIGN_OR_RETURN(sb_.free_inodes, r.GetU32());
   // Legacy images carry zeros here (the superblock tail is zero-padded),
   // which reads back as "no journal".
   FICUS_ASSIGN_OR_RETURN(sb_.journal_start, r.GetU32());
@@ -463,6 +392,25 @@ StatusOr<uint32_t> Ufs::BitmapFindFree(uint32_t base, uint32_t count, uint32_t& 
   return NoSpaceError("bitmap full");
 }
 
+StatusOr<uint32_t> Ufs::BitmapCountFree(uint32_t base, uint32_t count) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  constexpr uint32_t kBitsPerBlock = kBlockSize * 8;
+  uint32_t used = 0;
+  std::vector<uint8_t> data;
+  for (uint32_t b = 0; b < DivRoundUp(count, kBitsPerBlock); ++b) {
+    FICUS_RETURN_IF_ERROR(cache_->Read(base + b, data));
+    const uint32_t bits = std::min(count - b * kBitsPerBlock, kBitsPerBlock);
+    for (uint32_t i = 0; i < bits / 8; ++i) {
+      used += static_cast<uint32_t>(std::popcount(data[i]));
+    }
+    if (bits % 8 != 0) {
+      used += static_cast<uint32_t>(
+          std::popcount(static_cast<uint8_t>(data[bits / 8] & ((1u << (bits % 8)) - 1))));
+    }
+  }
+  return count - used;
+}
+
 // --- Inodes ---
 
 StatusOr<InodeNum> Ufs::AllocInode(FileType type, uint32_t mode, uint32_t uid, uint32_t gid) {
@@ -482,8 +430,7 @@ StatusOr<InodeNum> Ufs::AllocInode(FileType type, uint32_t mode, uint32_t uid, u
   inode.mtime = Now();
   inode.ctime = inode.mtime;
   FICUS_RETURN_IF_ERROR(WriteInode(ino, inode));
-  --sb_.free_inodes;
-  FICUS_RETURN_IF_ERROR(WriteSuperBlock());
+  --free_inodes_;
   return ino;
 }
 
@@ -496,8 +443,8 @@ Status Ufs::FreeInode(InodeNum ino) {
   FICUS_RETURN_IF_ERROR(WriteInode(ino, inode));
   FICUS_RETURN_IF_ERROR(BitmapSet(sb_.inode_bitmap_start, ino, false));
   inode_alloc_hint_ = std::min(inode_alloc_hint_, ino);
-  ++sb_.free_inodes;
-  return WriteSuperBlock();
+  ++free_inodes_;
+  return OkStatus();
 }
 
 StatusOr<Inode> Ufs::ReadInode(InodeNum ino) {
@@ -554,8 +501,7 @@ StatusOr<uint32_t> Ufs::AllocBlock() {
   FICUS_RETURN_IF_ERROR(BitmapSet(sb_.block_bitmap_start, block, true));
   std::vector<uint8_t> zero(kBlockSize, 0);
   FICUS_RETURN_IF_ERROR(cache_->Write(block, zero));
-  --sb_.free_blocks;
-  FICUS_RETURN_IF_ERROR(WriteSuperBlock());
+  --free_blocks_;
   return block;
 }
 
@@ -567,8 +513,8 @@ Status Ufs::FreeBlock(uint32_t block) {
   FICUS_RETURN_IF_ERROR(BitmapSet(sb_.block_bitmap_start, block, false));
   block_alloc_hint_ = std::min(block_alloc_hint_, block);
   cache_->InvalidateBlock(block);
-  ++sb_.free_blocks;
-  return WriteSuperBlock();
+  ++free_blocks_;
+  return OkStatus();
 }
 
 StatusOr<uint32_t> Ufs::ReadPointer(uint32_t block, uint32_t index) {
@@ -696,6 +642,13 @@ StatusOr<size_t> Ufs::ReadAt(InodeNum ino, uint64_t offset, size_t length,
 
 StatusOr<size_t> Ufs::WriteAt(InodeNum ino, uint64_t offset, const std::vector<uint8_t>& data) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
+  FICUS_RETURN_IF_ERROR(WriteData(ino, offset, data));
+  dir_index_.erase(ino);
+  return data.size();
+}
+
+Status Ufs::WriteData(InodeNum ino, uint64_t offset, const std::vector<uint8_t>& data) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_ASSIGN_OR_RETURN(Inode inode, ReadInode(ino));
   if (offset + data.size() > kMaxFileSize) {
     return NoSpaceError("write exceeds maximum file size");
@@ -722,17 +675,10 @@ StatusOr<size_t> Ufs::WriteAt(InodeNum ino, uint64_t offset, const std::vector<u
     }
     written += chunk;
   }
-  if (offset + data.size() > inode.size) {
-    inode.size = offset + data.size();
-    dirty = true;
-  }
+  // The inode always changes (mtime), so MapBlock's dirty flag is moot.
+  inode.size = std::max<uint64_t>(inode.size, offset + data.size());
   inode.mtime = Now();
-  dirty = true;
-  if (dirty) {
-    FICUS_RETURN_IF_ERROR(WriteInode(ino, inode));
-  }
-  dir_index_.erase(ino);
-  return written;
+  return WriteInode(ino, inode);
 }
 
 Status Ufs::Truncate(InodeNum ino, uint64_t new_size) {
@@ -1008,7 +954,7 @@ Status Ufs::RemapCommit(InodeNum ino, const std::vector<RemapBlock>& blocks,
   // bitmap blocks (fresh bits on, old bits off), pointer blocks with swung
   // words, and the inode-table block with new direct pointers, size, mtime,
   // and extension area. The superblock is untouched — N blocks allocated
-  // and N freed keeps free_blocks exact.
+  // and N freed keeps the free count exact.
   std::map<uint32_t, std::vector<uint8_t>> redo;
   auto load = [&](uint32_t block) -> StatusOr<std::vector<uint8_t>*> {
     auto it = redo.find(block);
@@ -1100,24 +1046,122 @@ Status Ufs::RemapCommit(InodeNum ino, const std::vector<RemapBlock>& blocks,
 StatusOr<bool> Ufs::RecoverJournal() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_RETURN_IF_ERROR(CheckMounted());
-  if (sb_.journal_blocks < 2) {
-    return false;
+  bool replayed = false;
+  if (sb_.journal_blocks >= 2) {
+    storage::BlockJournal journal(cache_, sb_.journal_start, sb_.journal_blocks);
+    FICUS_ASSIGN_OR_RETURN(storage::JournalRecoveryResult result, journal.Recover());
+    replayed = result.replayed;
   }
-  storage::BlockJournal journal(cache_, sb_.journal_start, sb_.journal_blocks);
-  FICUS_ASSIGN_OR_RETURN(storage::JournalRecoveryResult result, journal.Recover());
-  if (result.replayed) {
+  if (replayed) {
     // The replay rewrote bitmap/pointer/inode blocks under every in-memory
     // parse of them; drop derived state and rescan bitmaps from the start.
     dir_index_.clear();
     inode_alloc_hint_ = 0;
     block_alloc_hint_ = 0;
   }
-  return result.replayed;
+  // The free counts live only in memory, and a crash drops the bitmap
+  // writes of the allocations and frees that counted: every recovery
+  // takes them from the surviving bitmaps.
+  FICUS_ASSIGN_OR_RETURN(free_inodes_,
+                         BitmapCountFree(sb_.inode_bitmap_start, sb_.inode_count));
+  FICUS_ASSIGN_OR_RETURN(free_blocks_,
+                         BitmapCountFree(sb_.block_bitmap_start, sb_.block_count));
+  return replayed;
 }
 
 // --- Directories ---
 
-StatusOr<const Ufs::CachedDirIndex*> Ufs::DirIndex(InodeNum dir) {
+uint32_t Ufs::CachedDir::BucketOf(std::string_view name) const {
+  return BucketFor(name, buckets.size());
+}
+
+UfsDirEntry* Ufs::CachedDir::Find(std::string_view name) {
+  if (buckets.empty()) {
+    return nullptr;
+  }
+  for (UfsDirEntry& e : buckets[BucketOf(name)]) {
+    if (e.name == name) {
+      return &e;
+    }
+  }
+  return nullptr;
+}
+
+Status Ufs::CachedDir::CheckNewNames(const std::vector<std::string>& names) {
+  std::unordered_set<std::string_view> batch;
+  for (const std::string& name : names) {
+    if (name.empty() || name.size() > vfs::kMaxComponentLength ||
+        name.find('/') != std::string::npos) {
+      return InvalidArgumentError("bad directory entry name");
+    }
+    if (Find(name) != nullptr || !batch.insert(name).second) {
+      return ExistsError(name);
+    }
+  }
+  return OkStatus();
+}
+
+StatusOr<Ufs::CachedDir> Ufs::ParseDir(const std::vector<uint8_t>& image) {
+  CachedDir d;
+  if (image.empty()) {
+    return d;
+  }
+  uint32_t buckets = 0;
+  FICUS_RETURN_IF_ERROR(
+      ParseDirHeader(image.data(), image.size(), image.size(), buckets, d.slot_bytes));
+  d.buckets.resize(buckets);
+  for (uint32_t b = 0; b < buckets; ++b) {
+    FICUS_RETURN_IF_ERROR(ParseSlot(image.data() + (size_t{b} + 1) * d.slot_bytes,
+                                    d.slot_bytes, b, buckets, d.buckets[b]));
+    d.entries += d.buckets[b].size();
+  }
+  d.laid_entries = d.entries;
+  return d;
+}
+
+StatusOr<Ufs::CachedDir> Ufs::LayOut(std::vector<UfsDirEntry> entries, uint32_t buckets,
+                                     uint32_t slot_bytes) {
+  size_t record_bytes = 0;
+  for (const UfsDirEntry& e : entries) {
+    record_bytes += kDirRecordHeader + e.name.size();
+  }
+  // Half-full slots on average, so that the next adds rarely overflow one.
+  while (buckets < kUfsDirMaxBuckets &&
+         uint64_t{buckets} * (slot_bytes - 2) < 2 * uint64_t{record_bytes}) {
+    buckets <<= 1;
+  }
+  auto fits = [&]() {
+    std::vector<size_t> used(buckets, 2);
+    for (const UfsDirEntry& e : entries) {
+      size_t& slot = used[BucketFor(e.name, buckets)];
+      slot += kDirRecordHeader + e.name.size();
+      if (slot > slot_bytes) {
+        return false;
+      }
+    }
+    return true;
+  };
+  while (!fits()) {
+    if (slot_bytes < kUfsDirMaxSlotBytes) {
+      slot_bytes <<= 1;
+    } else if (buckets < kUfsDirMaxBuckets) {
+      buckets <<= 1;
+    } else {
+      return NoSpaceError("directory names overflow a slot at every layout");
+    }
+  }
+  CachedDir d;
+  d.slot_bytes = slot_bytes;
+  d.buckets.resize(buckets);
+  d.entries = entries.size();
+  d.laid_entries = entries.size();
+  for (UfsDirEntry& e : entries) {
+    d.buckets[d.BucketOf(e.name)].push_back(std::move(e));
+  }
+  return d;
+}
+
+StatusOr<Ufs::CachedDir*> Ufs::DirIndex(InodeNum dir) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_ASSIGN_OR_RETURN(Inode inode, ReadInode(dir));
   if (inode.type != FileType::kDirectory) {
@@ -1128,9 +1172,12 @@ StatusOr<const Ufs::CachedDirIndex*> Ufs::DirIndex(InodeNum dir) {
   if (it != dir_index_.end()) {
     return &it->second;
   }
-  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> data, ReadAll(dir));
-  FICUS_ASSIGN_OR_RETURN(std::vector<UfsDirEntry> entries, DeserializeDir(data));
-  return &RememberDirIndex(dir, std::move(entries));
+  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> image, ReadAll(dir));
+  FICUS_ASSIGN_OR_RETURN(CachedDir parsed, ParseDir(image));
+  if (dir_index_.size() >= kMaxDirIndexEntries) {
+    dir_index_.erase(dir_index_.begin());
+  }
+  return &(dir_index_[dir] = std::move(parsed));
 }
 
 void Ufs::SyncDirIndexEpoch() {
@@ -1141,37 +1188,122 @@ void Ufs::SyncDirIndexEpoch() {
   // (mtime, size) stamp — is what keys the index: under the simulated
   // clock a same-tick, same-size rewrite leaves mtime and size untouched,
   // so a stamp cannot distinguish fresh contents from stale ones. Local
-  // mutations stay correct because WriteAt/Truncate erase the entry and
-  // WriteDirEntries re-stamps it.
+  // mutations stay correct because raw data writes erase the entry and
+  // the directory edits keep it current.
   if (cache_->epoch() != dir_index_epoch_) {
     dir_index_.clear();
     dir_index_epoch_ = cache_->epoch();
   }
 }
 
-const Ufs::CachedDirIndex& Ufs::RememberDirIndex(InodeNum dir,
-                                                 std::vector<UfsDirEntry> entries) {
+Status Ufs::WriteDirSlots(InodeNum dir, const CachedDir& d, std::vector<uint32_t> buckets) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  SyncDirIndexEpoch();
-  if (dir_index_.size() >= kMaxDirIndexEntries) {
-    dir_index_.erase(dir_index_.begin());
+  std::sort(buckets.begin(), buckets.end());
+  auto offset = [&](uint32_t b) { return (uint64_t{b} + 1) * d.slot_bytes; };
+  Status wrote = [&]() -> Status {
+    FICUS_ASSIGN_OR_RETURN(Inode inode, ReadInode(dir));
+    std::vector<uint8_t> block;
+    bool dirty = false;
+    for (size_t i = 0; i < buckets.size();) {
+      const uint64_t file_block = offset(buckets[i]) / kBlockSize;
+      FICUS_ASSIGN_OR_RETURN(
+          uint32_t device_block,
+          MapBlock(inode, static_cast<uint32_t>(file_block), /*allocate=*/false, dirty));
+      if (device_block == 0) {
+        return CorruptError("directory image has a hole");
+      }
+      FICUS_RETURN_IF_ERROR(cache_->Read(device_block, block));
+      for (; i < buckets.size() && offset(buckets[i]) / kBlockSize == file_block; ++i) {
+        EncodeSlot(d.buckets[buckets[i]], block.data() + offset(buckets[i]) % kBlockSize,
+                   d.slot_bytes);
+      }
+      FICUS_RETURN_IF_ERROR(cache_->Write(device_block, block));
+    }
+    inode.mtime = Now();
+    return WriteInode(dir, inode);
+  }();
+  if (!wrote.ok()) {
+    dir_index_.erase(dir);  // the index must not claim what the disk may lack
   }
-  CachedDirIndex& index = dir_index_[dir];
-  index.entries = std::move(entries);
-  index.by_name.clear();
-  index.by_name.reserve(index.entries.size());
-  for (size_t i = 0; i < index.entries.size(); ++i) {
-    index.by_name.emplace(index.entries[i].name, i);
-  }
-  return index;
+  return wrote;
 }
 
-Status Ufs::WriteDirEntries(InodeNum dir, std::vector<UfsDirEntry> entries) {
+Status Ufs::WriteDirImage(InodeNum dir, const CachedDir& d) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  // WriteAll's Truncate/WriteAt erase the index entry; re-stamp it with
-  // the freshly written state so the next access is a hit.
-  FICUS_RETURN_IF_ERROR(WriteAll(dir, SerializeDir(entries)));
-  RememberDirIndex(dir, std::move(entries));
+  const uint32_t slot_bytes = d.slot_bytes;
+  std::vector<uint8_t> image((d.buckets.size() + 1) * size_t{slot_bytes});
+  StoreU32(image.data(), kUfsDirMagic);
+  StoreU32(image.data() + 4, static_cast<uint32_t>(d.buckets.size()));
+  StoreU32(image.data() + 8, slot_bytes);
+  for (size_t b = 0; b < d.buckets.size(); ++b) {
+    EncodeSlot(d.buckets[b], image.data() + (b + 1) * slot_bytes, slot_bytes);
+  }
+  FICUS_ASSIGN_OR_RETURN(Inode inode, ReadInode(dir));
+  const uint64_t need = FileFootprint(image.size());
+  const uint64_t have = FileFootprint(inode.size);
+  if (need > have && need - have > free_blocks_) {
+    return NoSpaceError("no room to re-lay out the directory");
+  }
+  return WriteData(dir, 0, image);
+}
+
+Status Ufs::ShrinkDir(InodeNum dir, CachedDir& d, uint32_t touched) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::vector<UfsDirEntry> entries;
+  entries.reserve(d.entries);
+  for (const std::vector<UfsDirEntry>& bucket : d.buckets) {
+    entries.insert(entries.end(), bucket.begin(), bucket.end());
+  }
+  auto laid = LayOut(std::move(entries), 1, kUfsDirMinSlotBytes);
+  auto bytes = [](const CachedDir& c) { return (c.buckets.size() + 1) * uint64_t{c.slot_bytes}; };
+  if (laid.ok() && bytes(*laid) >= bytes(d)) {
+    d.laid_entries = d.entries;  // these names need this layout
+    return WriteDirSlots(dir, d, {touched});
+  }
+  Status wrote = laid.ok() ? WriteDirImage(dir, *laid) : laid.status();
+  if (wrote.ok()) {
+    wrote = Truncate(dir, bytes(*laid));  // frees the tail; drops `d`
+  }
+  if (!wrote.ok()) {
+    dir_index_.erase(dir);  // the index must not claim what the disk may lack
+    return wrote;
+  }
+  dir_index_[dir] = std::move(*laid);
+  return OkStatus();
+}
+
+Status Ufs::AddDirEntries(InodeNum dir, CachedDir& d, std::vector<UfsDirEntry> added) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  if (!d.buckets.empty()) {
+    std::vector<uint32_t> touched;
+    for (UfsDirEntry& e : added) {
+      touched.push_back(d.BucketOf(e.name));
+      d.buckets[touched.back()].push_back(std::move(e));
+    }
+    if (std::all_of(touched.begin(), touched.end(),
+                    [&](uint32_t b) { return SlotUsed(d.buckets[b]) <= d.slot_bytes; })) {
+      d.entries += touched.size();
+      return WriteDirSlots(dir, d, std::move(touched));
+    }
+    added.clear();
+    for (std::vector<UfsDirEntry>& bucket : d.buckets) {
+      for (UfsDirEntry& e : bucket) {
+        added.push_back(std::move(e));
+      }
+    }
+  }
+  // Re-lay out every entry at twice the buckets at least (the
+  // never-written directory starts from one).
+  const uint32_t buckets = std::clamp<uint32_t>(2 * static_cast<uint32_t>(d.buckets.size()), 1,
+                                                kUfsDirMaxBuckets);
+  auto laid =
+      LayOut(std::move(added), buckets, std::max(d.slot_bytes, kUfsDirMinSlotBytes));
+  Status wrote = laid.ok() ? WriteDirImage(dir, *laid) : laid.status();
+  if (!wrote.ok()) {
+    dir_index_.erase(dir);  // the index must not claim what the disk may lack
+    return wrote;
+  }
+  d = std::move(*laid);
   return OkStatus();
 }
 
@@ -1184,14 +1316,14 @@ StatusOr<InodeNum> Ufs::DirLookup(InodeNum dir, std::string_view name) {
   SyncDirIndexEpoch();
   auto it = dir_index_.find(dir);
   if (it != dir_index_.end()) {
-    auto hit = it->second.by_name.find(std::string(name));
-    if (hit == it->second.by_name.end()) {
+    const UfsDirEntry* hit = it->second.Find(name);
+    if (hit == nullptr) {
       return NotFoundError(std::string(name));
     }
-    return it->second.entries[hit->second].ino;
+    return hit->ino;
   }
-  // Cold: the hashed image answers from one bucket (three short reads)
-  // without parsing — O(1) even at 100k entries.
+  // Cold: the header and one slot answer without parsing the rest — O(1)
+  // even at 100k entries.
   return DirHashLookup(dir, inode, name);
 }
 
@@ -1201,38 +1333,17 @@ StatusOr<InodeNum> Ufs::DirHashLookup(InodeNum dir, const Inode& inode,
   if (inode.size == 0) {
     return NotFoundError(std::string(name));  // never written: empty
   }
-  std::vector<uint8_t> header;
-  FICUS_RETURN_IF_ERROR(ReadAt(dir, 0, kUfsDirHeaderBytes, header).status());
-  if (!IsHashedDir(header)) {
-    return CorruptError("directory image lacks the hashed-format magic");
-  }
-  ByteReader hr(header);
-  FICUS_RETURN_IF_ERROR(hr.GetU32().status());  // magic
-  FICUS_ASSIGN_OR_RETURN(uint32_t buckets, hr.GetU32());
-  if (buckets == 0 || (buckets & (buckets - 1)) != 0) {
-    return CorruptError("hashed directory bucket count invalid");
-  }
-  uint32_t bucket = UfsNameHash(name) & (buckets - 1);
-  std::vector<uint8_t> slot;
+  std::vector<uint8_t> bytes;
+  FICUS_RETURN_IF_ERROR(ReadAt(dir, 0, kDirHeaderBytes, bytes).status());
+  uint32_t buckets = 0;
+  uint32_t slot_bytes = 0;
   FICUS_RETURN_IF_ERROR(
-      ReadAt(dir, kUfsDirHeaderBytes + static_cast<uint64_t>(bucket) * 8, 8, slot)
-          .status());
-  ByteReader sr(slot);
-  FICUS_ASSIGN_OR_RETURN(uint32_t offset, sr.GetU32());
-  FICUS_ASSIGN_OR_RETURN(uint32_t length, sr.GetU32());
-  if (length == 0) {
-    return NotFoundError(std::string(name));
-  }
-  uint64_t record_area = kUfsDirHeaderBytes + static_cast<uint64_t>(buckets) * 8;
-  if (record_area + offset + length > inode.size) {
-    return CorruptError("hashed directory bucket out of range");
-  }
-  std::vector<uint8_t> run;
-  FICUS_RETURN_IF_ERROR(ReadAt(dir, record_area + offset, length, run).status());
-  std::vector<UfsDirEntry> in_bucket;
-  ByteReader rr(run);
-  FICUS_RETURN_IF_ERROR(ParseDirRecords(rr, in_bucket));
-  for (const auto& e : in_bucket) {
+      ParseDirHeader(bytes.data(), bytes.size(), inode.size, buckets, slot_bytes));
+  const uint32_t b = BucketFor(name, buckets);
+  FICUS_RETURN_IF_ERROR(ReadAt(dir, (uint64_t{b} + 1) * slot_bytes, slot_bytes, bytes).status());
+  std::vector<UfsDirEntry> bucket;
+  FICUS_RETURN_IF_ERROR(ParseSlot(bytes.data(), slot_bytes, b, buckets, bucket));
+  for (const UfsDirEntry& e : bucket) {
     if (e.name == name) {
       return e.ino;
     }
@@ -1242,47 +1353,55 @@ StatusOr<InodeNum> Ufs::DirHashLookup(InodeNum dir, const Inode& inode,
 
 Status Ufs::DirAdd(InodeNum dir, std::string_view name, InodeNum ino, FileType type) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_ASSIGN_OR_RETURN(const CachedDirIndex* index, DirIndex(dir));
-  FICUS_RETURN_IF_ERROR(CheckNewNames(index->by_name, {std::string(name)}));
-  std::vector<UfsDirEntry> entries = index->entries;
-  entries.push_back(UfsDirEntry{std::string(name), ino, type});
-  return WriteDirEntries(dir, std::move(entries));
+  FICUS_ASSIGN_OR_RETURN(CachedDir* d, DirIndex(dir));
+  FICUS_RETURN_IF_ERROR(d->CheckNewNames({std::string(name)}));
+  return AddDirEntries(dir, *d, {UfsDirEntry{std::string(name), ino, type}});
 }
 
 Status Ufs::DirRemove(InodeNum dir, std::string_view name) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_ASSIGN_OR_RETURN(const CachedDirIndex* index, DirIndex(dir));
-  auto hit = index->by_name.find(std::string(name));
-  if (hit == index->by_name.end()) {
+  FICUS_ASSIGN_OR_RETURN(CachedDir* d, DirIndex(dir));
+  const UfsDirEntry* hit = d->Find(name);
+  if (hit == nullptr) {
     return NotFoundError(std::string(name));
   }
-  std::vector<UfsDirEntry> entries = index->entries;
-  entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(hit->second));
-  return WriteDirEntries(dir, std::move(entries));
+  const uint32_t b = d->BucketOf(name);
+  std::vector<UfsDirEntry>& bucket = d->buckets[b];
+  bucket.erase(bucket.begin() + (hit - bucket.data()));
+  // A layout chosen for four times the names left shrinks, so emptying a
+  // directory gives its blocks back.
+  if (--d->entries < d->laid_entries / 4) {
+    return ShrinkDir(dir, *d, b);
+  }
+  return WriteDirSlots(dir, *d, {b});
 }
 
 StatusOr<std::vector<UfsDirEntry>> Ufs::DirList(InodeNum dir) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_ASSIGN_OR_RETURN(const CachedDirIndex* index, DirIndex(dir));
-  return index->entries;
+  FICUS_ASSIGN_OR_RETURN(const CachedDir* d, DirIndex(dir));
+  std::vector<UfsDirEntry> entries;
+  for (const std::vector<UfsDirEntry>& bucket : d->buckets) {
+    entries.insert(entries.end(), bucket.begin(), bucket.end());
+  }
+  return entries;
 }
 
 StatusOr<bool> Ufs::DirIsEmpty(InodeNum dir) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_ASSIGN_OR_RETURN(const CachedDirIndex* index, DirIndex(dir));
-  return index->entries.empty();
+  FICUS_ASSIGN_OR_RETURN(const CachedDir* d, DirIndex(dir));
+  return std::all_of(d->buckets.begin(), d->buckets.end(),
+                     [](const std::vector<UfsDirEntry>& bucket) { return bucket.empty(); });
 }
 
 Status Ufs::DirRepoint(InodeNum dir, std::string_view name, InodeNum new_ino) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_ASSIGN_OR_RETURN(const CachedDirIndex* index, DirIndex(dir));
-  auto hit = index->by_name.find(std::string(name));
-  if (hit == index->by_name.end()) {
+  FICUS_ASSIGN_OR_RETURN(CachedDir* d, DirIndex(dir));
+  UfsDirEntry* hit = d->Find(name);
+  if (hit == nullptr) {
     return NotFoundError(std::string(name));
   }
-  std::vector<UfsDirEntry> entries = index->entries;
-  entries[hit->second].ino = new_ino;
-  return WriteDirEntries(dir, std::move(entries));
+  hit->ino = new_ino;
+  return WriteDirSlots(dir, *d, {d->BucketOf(name)});
 }
 
 // --- Composite operations ---
@@ -1297,10 +1416,10 @@ StatusOr<std::vector<InodeNum>> Ufs::CreateFiles(InodeNum dir,
                                                  FileType type, uint32_t mode, uint32_t uid,
                                                  uint32_t gid) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_ASSIGN_OR_RETURN(const CachedDirIndex* index, DirIndex(dir));
-  FICUS_RETURN_IF_ERROR(CheckNewNames(index->by_name, names));
-  std::vector<UfsDirEntry> entries = index->entries;
-  entries.reserve(entries.size() + names.size());
+  FICUS_ASSIGN_OR_RETURN(CachedDir* d, DirIndex(dir));
+  FICUS_RETURN_IF_ERROR(d->CheckNewNames(names));
+  std::vector<UfsDirEntry> added;
+  added.reserve(names.size());
   std::vector<InodeNum> created;
   created.reserve(names.size());
   auto undo = [&]() {
@@ -1314,10 +1433,10 @@ StatusOr<std::vector<InodeNum>> Ufs::CreateFiles(InodeNum dir,
       undo();
       return ino.status();
     }
-    entries.push_back(UfsDirEntry{name, *ino, type});
+    added.push_back(UfsDirEntry{name, *ino, type});
     created.push_back(*ino);
   }
-  Status wrote = WriteDirEntries(dir, std::move(entries));
+  Status wrote = AddDirEntries(dir, *d, std::move(added));
   if (!wrote.ok()) {
     undo();
     return wrote;
@@ -1359,13 +1478,13 @@ Status Ufs::Unlink(InodeNum dir, std::string_view name) {
 StatusOr<uint32_t> Ufs::FreeBlockCount() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_RETURN_IF_ERROR(CheckMounted());
-  return sb_.free_blocks;
+  return free_blocks_;
 }
 
 StatusOr<uint32_t> Ufs::FreeInodeCount() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_RETURN_IF_ERROR(CheckMounted());
-  return sb_.free_inodes;
+  return free_inodes_;
 }
 
 // --- fsck ---
@@ -1444,26 +1563,26 @@ StatusOr<std::vector<std::string>> Ufs::Check() {
         }
       }
     }
-    // Directory contents reference inodes. Validate the on-disk image
-    // structurally (hashed header honest, records in the right buckets)
-    // before trusting its parse.
+    // Directory contents reference inodes. The parse checks the image's
+    // structure (header, slot lengths, records, bucket placement, no name
+    // twice) before its entries are trusted.
     if (inode.type == FileType::kDirectory) {
       FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, ReadAll(ino));
-      ValidateDirImage(ino, raw, problems);
-      auto entries_or = DeserializeDir(raw);
-      if (!entries_or.ok()) {
+      auto parsed = ParseDir(raw);
+      if (!parsed.ok()) {
         problems.push_back("directory inode " + std::to_string(ino) +
-                           " unparsable: " + entries_or.status().ToString());
+                           " unparsable: " + parsed.status().ToString());
         continue;
       }
-      const std::vector<UfsDirEntry>& entries = *entries_or;
-      for (const auto& e : entries) {
-        if (e.ino == kInvalidInode || e.ino >= sb_.inode_count) {
-          problems.push_back("directory inode " + std::to_string(ino) +
-                             " entry '" + e.name + "' has bad inode");
-          continue;
+      for (const std::vector<UfsDirEntry>& bucket : parsed->buckets) {
+        for (const UfsDirEntry& e : bucket) {
+          if (e.ino == kInvalidInode || e.ino >= sb_.inode_count) {
+            problems.push_back("directory inode " + std::to_string(ino) + " entry '" +
+                               e.name + "' has bad inode");
+            continue;
+          }
+          ++refcount[e.ino];
         }
-        ++refcount[e.ino];
       }
     }
   }
@@ -1477,6 +1596,20 @@ StatusOr<std::vector<std::string>> Ufs::Check() {
     if (!allocated && block_used[b]) {
       problems.push_back("block " + std::to_string(b) + " referenced but free in bitmap");
     }
+  }
+
+  // The free counts in memory must be the bitmaps'.
+  FICUS_ASSIGN_OR_RETURN(uint32_t free_inodes,
+                         BitmapCountFree(sb_.inode_bitmap_start, sb_.inode_count));
+  FICUS_ASSIGN_OR_RETURN(uint32_t free_blocks,
+                         BitmapCountFree(sb_.block_bitmap_start, sb_.block_count));
+  if (free_inodes != free_inodes_) {
+    problems.push_back("free inode count " + std::to_string(free_inodes_) +
+                       " != bitmap's " + std::to_string(free_inodes));
+  }
+  if (free_blocks != free_blocks_) {
+    problems.push_back("free block count " + std::to_string(free_blocks_) +
+                       " != bitmap's " + std::to_string(free_blocks));
   }
 
   // Pass 3: nlink for regular files/symlinks must equal directory refs.

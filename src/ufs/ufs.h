@@ -17,8 +17,8 @@
 // double-indirect tier exists for the Ficus physical layer's directory
 // blobs: a 10⁶-entry replicated directory serializes to tens of MiB,
 // far past what direct + single-indirect addressing covers.
-// Directories store variable-length {inode, type, name} records in their
-// data blocks, exactly like a file.
+// Directories store {inode, type, name} records in their data blocks, in
+// per-bucket slots (format below).
 //
 // Each inode carries a small *extension area* — the "extensible inodes"
 // the Ficus paper wishes for in section 7, which let a layering client
@@ -34,7 +34,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -93,26 +92,47 @@ struct UfsDirEntry {
 };
 
 // On-disk directory format: a zero-length image is the empty directory
-// (nothing has been written yet); every other image leads with
-// kUfsDirMagic and carries a bucket table, so one component lookup
-// touches one bucket instead of scanning 100k records. An image without
-// the magic is corrupt.
+// (nothing has been written yet). Every other image is bucket_count + 1
+// equal slots of slot_bytes each, a power of two from 512 to 4096, so no
+// slot crosses a block boundary:
 //
-//   u32 magic = kUfsDirMagic
-//   u32 bucket_count          (power of two)
-//   u32 entry_count
-//   u32 reserved (0)
-//   bucket_count x { u32 offset, u32 length }   bucket table; offsets are
-//                                               relative to the record area
-//   record area: per-bucket runs of records
-//       u32 ino | u8 type | u16 name_len | name
-constexpr uint32_t kUfsDirMagic = 0xF1C0D1E5;
-constexpr uint32_t kUfsDirHeaderBytes = 16;
+//   slot 0        header: u32 magic = kUfsDirMagic | u32 bucket_count
+//                 (power of two) | u32 slot_bytes, then zeros
+//   slot b + 1    bucket b: u16 used, then `used` bytes of records
+//                 u32 ino | u8 type | u16 name_len | name, then zeros;
+//                 every name hashes to b and appears once
+//
+// An image without the magic, of any other length, or with a slot that
+// breaks these rules is corrupt. There is no entry count: each slot
+// describes itself, so nothing outside the slot can disagree with it.
+//
+// One-name edits (DirAdd, DirRemove, DirRepoint, CreateFile) that do not
+// re-lay out re-encode the name's slot and write it in place: one block
+// write plus the directory inode (mtime), whatever the directory's size.
+// A block write is atomic, so a crash between any two device writes
+// leaves the directory parsable and listing exactly the old or the new
+// names. A CreateFiles batch writes each slot block it touches once;
+// after a crash inside it every slot is old or new.
+//
+// A record that does not fit its slot re-lays out the directory, once
+// per edit: at least twice the buckets (a CreateFiles batch sizes for
+// its final count), slot_bytes doubled only when a bucket still
+// overflows, slots aimed at half full. A DirRemove that leaves under a
+// quarter of the names the layout was chosen for re-lays out at the
+// size the remaining names need, again aimed at half full, and frees
+// the tail blocks. Between those two points no edit moves the layout,
+// so re-layouts cost O(1) writes per edit amortized. A re-layout
+// rewrites the whole image in place and is not crash-atomic. A name set
+// that overflows a 4096-byte slot at every bucket count up to
+// kUfsDirMaxBuckets (names built to collide) fails with kNoSpace and
+// leaves the directory as it was.
+constexpr uint32_t kUfsDirMagic = 0xF1C0D510;
+constexpr uint32_t kUfsDirMinSlotBytes = 512;
+constexpr uint32_t kUfsDirMaxSlotBytes = storage::kBlockSize;
+constexpr uint32_t kUfsDirMaxBuckets = 1u << 20;
 
 // FNV-1a over the component name; bucket = hash & (bucket_count - 1).
 uint32_t UfsNameHash(std::string_view name);
-// Power-of-two bucket count targeting ~8 entries per bucket.
-uint32_t UfsDirBucketCount(size_t entry_count);
 
 struct SuperBlock {
   uint32_t magic = kUfsMagic;
@@ -125,8 +145,6 @@ struct SuperBlock {
   uint32_t inode_table_start = 0;
   uint32_t inode_table_blocks = 0;
   uint32_t data_start = 0;
-  uint32_t free_blocks = 0;
-  uint32_t free_inodes = 0;
   // Redo-journal region between the inode table and the data area, used by
   // RemapCommit. Zero on images formatted before the journal existed or on
   // devices too small to afford one; the block-remap commit is then
@@ -158,7 +176,7 @@ struct RemapBlock {
 // cold/warm I/O experiments can count device reads precisely.
 //
 // Thread-safe: one recursive mutex serializes every operation (public
-// operations compose — CreateFiles calls AllocInode + WriteAll — hence
+// operations compose — CreateFiles calls AllocInode and WriteData — hence
 // recursive). Coarse by design: a UFS instance is one disk, and the
 // paper's concurrency lives above it; sharding comes later if profiles
 // demand it. The UFS never calls out of itself while holding the lock
@@ -172,7 +190,8 @@ class Ufs {
   // creates the root directory.
   Status Format(uint32_t inode_count);
 
-  // Reads and validates the superblock of a previously formatted device.
+  // Reads and validates the superblock of a previously formatted device
+  // and runs RecoverJournal.
   Status Mount();
 
   bool mounted() const { return mounted_; }
@@ -221,9 +240,10 @@ class Ufs {
                      const RemapCommitHook& hook = nullptr);
 
   // Journal recovery: replays a sealed commit left by a crash, discards an
-  // unsealed one. Returns true when a commit was replayed. Idempotent.
-  // Mount() runs this; the physical layer also runs it on Attach because
-  // simulated reboots re-attach to the surviving image without remounting.
+  // unsealed one, then counts the free inodes and blocks in the bitmaps.
+  // Returns true when a commit was replayed. Idempotent. Mount() runs
+  // this; the physical layer also runs it on Attach because simulated
+  // reboots re-attach to the surviving image without remounting.
   StatusOr<bool> RecoverJournal();
 
   // Does this image carry a usable journal region?
@@ -246,11 +266,11 @@ class Ufs {
   StatusOr<InodeNum> CreateFile(InodeNum dir, std::string_view name, FileType type,
                                 uint32_t mode, uint32_t uid, uint32_t gid);
   // Creates one file/directory/symlink of `type` per name under `dir`:
-  // allocates every inode, then rewrites the directory once (a loop of
-  // one-name calls rewrites it per name, O(N^2) in serialized bytes for an
-  // N-entry directory). New directories start with nlink 2 and raise the
-  // parent's nlink by their count. All-or-nothing: any bad or taken name
-  // fails the whole batch before storage is touched.
+  // allocates every inode, then adds the names in one directory edit
+  // (each touched slot block written once, at most one re-layout, sized
+  // for the final count). New directories start with nlink 2 and raise
+  // the parent's nlink by their count. All-or-nothing: any bad or taken
+  // name fails the whole batch before storage is touched.
   StatusOr<std::vector<InodeNum>> CreateFiles(InodeNum dir,
                                               const std::vector<std::string>& names,
                                               FileType type, uint32_t mode, uint32_t uid,
@@ -258,12 +278,17 @@ class Ufs {
   // Unlinks name from dir; frees the inode when nlink drops to zero.
   Status Unlink(InodeNum dir, std::string_view name);
 
+  // Free counts, kept in memory only: Mount and RecoverJournal derive them
+  // from the bitmaps, so allocation writes a bitmap but never the
+  // superblock.
   StatusOr<uint32_t> FreeBlockCount();
   StatusOr<uint32_t> FreeInodeCount();
 
   // fsck-style invariants: every allocated block/inode reachable exactly as
-  // the bitmaps say, directory entries point at allocated inodes, nlink
-  // counts match reference counts. Returns a list of problems (empty = ok).
+  // the bitmaps say, the free counts equal to the bitmaps', every
+  // directory image well formed, directory entries pointing at allocated
+  // inodes, nlink counts matching reference counts. Returns a list of
+  // problems (empty = ok).
   StatusOr<std::vector<std::string>> Check();
 
   // fsck-style repair for the one kind of debris a crash can legally
@@ -290,6 +315,8 @@ class Ufs {
   StatusOr<bool> BitmapGet(uint32_t base, uint32_t index);
   Status BitmapSet(uint32_t base, uint32_t index, bool value);
   StatusOr<uint32_t> BitmapFindFree(uint32_t base, uint32_t count, uint32_t& hint);
+  // Clear bits among the first `count` of the bitmap at `base`.
+  StatusOr<uint32_t> BitmapCountFree(uint32_t base, uint32_t count);
 
   // Read-only scan for `n` distinct free data blocks (RemapCommit's
   // provisional allocation: nothing is marked used until the journaled
@@ -302,36 +329,65 @@ class Ufs {
   // rest of the block.
   StatusOr<uint32_t> ReadPointer(uint32_t block, uint32_t index);
 
+  // WriteAt without dropping the parsed directory: the directory code's
+  // own writes keep its index current instead.
+  Status WriteData(InodeNum ino, uint64_t offset, const std::vector<uint8_t>& data);
+
   // --- parsed-directory index ---
-  // Every DirLookup/DirAdd/DirRemove used to re-read and re-parse the
-  // whole directory file; this per-inode index keeps the parsed entries
-  // plus a name map for O(1) warm lookups. An index entry is valid by
-  // construction: every local data mutation (WriteAt/Truncate) erases it,
-  // directory writers re-stamp it, and the whole index is keyed on the
-  // buffer cache's invalidation epoch so an external device divergence
-  // (crash simulation, remount) drops it wholesale. The previous
-  // (mtime, size) stamp is gone — it could not tell a same-tick,
-  // same-size rewrite from the cached state under the simulated clock.
-  struct CachedDirIndex {
-    std::vector<UfsDirEntry> entries;
-    // name -> index into entries; rebuilt whenever entries are (re)stamped.
-    std::unordered_map<std::string, size_t> by_name;
+  // Per directory inode, the image's layout and its entries grouped by
+  // bucket, exactly as the slots hold them: an edit changes one bucket
+  // here and writes that bucket's slot, and a cold parse is the only full
+  // build. An index entry is valid by construction: raw data mutations
+  // (WriteAt/Truncate/RemapCommit) erase it, the directory edits keep it
+  // current (and erase it when a write fails), and the whole index is
+  // keyed on the buffer cache's invalidation epoch so an external device
+  // divergence (crash simulation, remount) drops it wholesale.
+  struct CachedDir {
+    uint32_t slot_bytes = 0;  // 0, with no buckets: the zero-length image
+    std::vector<std::vector<UfsDirEntry>> buckets;
+    // Names held now, and when this layout was chosen or parsed (see
+    // ShrinkDir).
+    size_t entries = 0;
+    size_t laid_entries = 0;
+
+    uint32_t BucketOf(std::string_view name) const;
+    UfsDirEntry* Find(std::string_view name);
+    // Fails unless every name is a well-formed component, absent here,
+    // and unique within the batch.
+    Status CheckNewNames(const std::vector<std::string>& names);
   };
   void SyncDirIndexEpoch();
   // The index of directory `dir`, parsed and remembered on a miss
   // (kNotDir for any other inode). Valid until the index next changes.
-  StatusOr<const CachedDirIndex*> DirIndex(InodeNum dir);
-  // Serializes + writes `entries` as dir's contents and re-stamps the
-  // index with them.
-  Status WriteDirEntries(InodeNum dir, std::vector<UfsDirEntry> entries);
-  const CachedDirIndex& RememberDirIndex(InodeNum dir, std::vector<UfsDirEntry> entries);
+  StatusOr<CachedDir*> DirIndex(InodeNum dir);
+  static StatusOr<CachedDir> ParseDir(const std::vector<uint8_t>& image);
+  // `entries` in the smallest layout of at least `buckets` x `slot_bytes`
+  // whose slots are at most half full on average and each fit.
+  static StatusOr<CachedDir> LayOut(std::vector<UfsDirEntry> entries, uint32_t buckets,
+                                    uint32_t slot_bytes);
+  // Binds `added` (names already checked) into `dir`: in place when every
+  // record fits its slot, else through one re-layout.
+  Status AddDirEntries(InodeNum dir, CachedDir& d, std::vector<UfsDirEntry> added);
+  // Re-encodes the slots of `buckets` in place, each touched block
+  // written once, then the inode's mtime.
+  Status WriteDirSlots(InodeNum dir, const CachedDir& d, std::vector<uint32_t> buckets);
+  // Writes `d` as dir's whole image, in place over the old one; a longer
+  // old image keeps its tail until the caller truncates it. Fails with
+  // kNoSpace, writing nothing, when the free blocks cannot hold the
+  // growth.
+  Status WriteDirImage(InodeNum dir, const CachedDir& d);
+  // Writes out a DirRemove from bucket `touched` of `d`, which now holds
+  // under a quarter of the names its layout was chosen for: re-lays the
+  // directory out at the size its names need and frees the tail blocks,
+  // or, when no smaller layout holds them, writes the one slot.
+  Status ShrinkDir(InodeNum dir, CachedDir& d, uint32_t touched);
 
-  // Targeted one-bucket lookup, used when the index is cold so a
-  // 100k-entry directory costs three short reads instead of a full parse.
-  // kNotFound = name absent, kCorrupt = not a hashed image.
+  // Targeted one-bucket lookup, used when the index is cold: reads the
+  // header and one slot instead of parsing the whole image.
+  // kNotFound = name absent, kCorrupt = not a well-formed image.
   StatusOr<InodeNum> DirHashLookup(InodeNum dir, const Inode& inode, std::string_view name);
 
-  std::map<InodeNum, CachedDirIndex> dir_index_;
+  std::map<InodeNum, CachedDir> dir_index_;
   uint64_t dir_index_epoch_ = 0;
   static constexpr size_t kMaxDirIndexEntries = 128;
 
@@ -340,6 +396,10 @@ class Ufs {
   const Clock* clock_;
   SuperBlock sb_;
   bool mounted_ = false;
+  // Free counts (see FreeBlockCount): set by Format and RecoverJournal,
+  // kept by alloc and free, never written to the device.
+  uint32_t free_blocks_ = 0;
+  uint32_t free_inodes_ = 0;
   // Allocation rotors (see BitmapFindFree). Reset at mount; purely an
   // in-memory scan accelerator, never persisted.
   uint32_t inode_alloc_hint_ = 0;

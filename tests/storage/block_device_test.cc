@@ -79,5 +79,27 @@ TEST(BlockDeviceTest, CrashDropsWritesButKeepsOldContents) {
   EXPECT_EQ(data, Block(0x33));
 }
 
+TEST(BlockDeviceTest, CrashAfterWritesLetsExactlyThatManyLand) {
+  BlockDevice device(8);
+  device.CrashAfterWrites(2);
+  EXPECT_FALSE(device.crashed());
+  for (uint8_t b = 0; b < 4; ++b) {
+    ASSERT_TRUE(device.Write(b, Block(static_cast<uint8_t>(0x40 + b))).ok());
+  }
+  EXPECT_TRUE(device.crashed());
+  EXPECT_EQ(device.stats().writes, 2u);
+  EXPECT_EQ(device.stats().dropped_writes, 2u);
+  std::vector<uint8_t> data;
+  for (uint8_t b = 0; b < 4; ++b) {
+    ASSERT_TRUE(device.Read(b, data).ok());
+    EXPECT_EQ(data, b < 2 ? Block(static_cast<uint8_t>(0x40 + b)) : Block(0)) << int{b};
+  }
+  device.ClearCrash();
+  EXPECT_FALSE(device.crashed());
+  ASSERT_TRUE(device.Write(3, Block(0x55)).ok());
+  ASSERT_TRUE(device.Read(3, data).ok());
+  EXPECT_EQ(data, Block(0x55));
+}
+
 }  // namespace
 }  // namespace ficus::storage
