@@ -9,9 +9,12 @@
 // 10 % dirty fractions. The full walk pays O(files) RPCs even when
 // nothing changed; the digest walk exchanges per-level subtree digests
 // and descends only into differing directories, so its RPC count tracks
-// the delta. RPC and prune counters are deterministic and gated against
+// the delta; inside a differing directory it exchanges bucket digests and
+// sweeps and replays only the differing buckets. RPC, prune, swept-file
+// and replayed-entry counters are deterministic and gated against
 // bench/baselines/reconciliation.json; wall-clock leaves (_ms keys) are
-// volatile.
+// volatile. The run exits 1 when the digest walk is not faster than the
+// full walk in wall time at 0.1% or 1% dirty on 10^4 files or more.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -144,6 +147,8 @@ struct PassStats {
   uint64_t pruned_dirs = 0;   // directories skipped on a digest match
   uint64_t digest_match = 0;
   uint64_t digest_mismatch = 0;
+  uint64_t swept_files = 0;       // files whose remote attributes were fetched
+  uint64_t replayed_entries = 0;  // remote directory entries replayed
   double wall_ms = 0;
 };
 
@@ -169,6 +174,8 @@ PassStats MeasurePass(ModeCluster& mc) {
   pass.pruned_dirs = stats->digest_pruned_dirs - before.digest_pruned_dirs;
   pass.digest_match = stats->digest_match - before.digest_match;
   pass.digest_mismatch = stats->digest_mismatch - before.digest_mismatch;
+  pass.swept_files = stats->files_swept - before.files_swept;
+  pass.replayed_entries = stats->entries_examined - before.entries_examined;
   return pass;
 }
 
@@ -240,9 +247,9 @@ int main() {
   json << "{\"bench\":\"reconciliation\",\"sweep\":[";
 
   std::printf("R1 — digest-guided vs full-walk RPCs per reconciliation pass\n");
-  std::printf("%9s %9s %9s | %12s %12s %10s | %8s %10s %10s\n", "files", "dirty %",
-              "dirty", "full RPCs", "digest RPCs", "reduction", "pruned", "full ms",
-              "digest ms");
+  std::printf("%9s %9s %9s | %12s %12s %10s | %8s %8s %8s | %10s %10s\n", "files",
+              "dirty %", "dirty", "full RPCs", "digest RPCs", "reduction", "pruned", "swept",
+              "replayed", "full ms", "digest ms");
   // FICUS_BENCH_MAX_FILES caps the sweep's largest size (the full 10^6
   // leg seeds two million-file replica pairs and takes the better part of
   // an hour; =100000 covers the acceptance measurement in minutes).
@@ -284,11 +291,13 @@ int main() {
       // converged again the moment the measurement ends (the recon
       // differential suite holds both modes to identical state).
 
-      std::printf("%9zu %8.1f%% %9zu | %12llu %12llu %9.1fx | %8llu %10.2f %10.2f\n",
+      std::printf("%9zu %8.1f%% %9zu | %12llu %12llu %9.1fx | %8llu %8llu %8llu | %10.2f %10.2f\n",
                   row.files, row.dirty_pct, row.dirty_files,
                   static_cast<unsigned long long>(row.full.rpcs),
                   static_cast<unsigned long long>(row.digest.rpcs), row.rpc_reduction,
                   static_cast<unsigned long long>(row.digest.pruned_dirs),
+                  static_cast<unsigned long long>(row.digest.swept_files),
+                  static_cast<unsigned long long>(row.digest.replayed_entries),
                   row.full.wall_ms, row.digest.wall_ms);
       std::fflush(stdout);  // rows survive a mid-sweep kill when piped
       if (!first) json << ",";
@@ -301,6 +310,8 @@ int main() {
            << ",\"digest_match\":" << row.digest.digest_match
            << ",\"digest_mismatch\":" << row.digest.digest_mismatch
            << ",\"digest_pruned_dirs\":" << row.digest.pruned_dirs
+           << ",\"swept_files\":" << row.digest.swept_files
+           << ",\"replayed_entries\":" << row.digest.replayed_entries
            << ",\"full_ms\":" << row.full.wall_ms
            << ",\"digest_ms\":" << row.digest.wall_ms << "}";
       rows.push_back(row);
@@ -321,6 +332,17 @@ int main() {
   }
   std::printf("\nclean reconcile at %zu files: %.1fx fewer RPCs (acceptance floor 50x)\n",
               clean_files, clean_reduction);
+  // Wall-time gate: a few dirty files among many must cost the digest
+  // walk less than the full walk, or the bucket exchange bought nothing.
+  bool digest_faster = true;
+  for (const SweepRow& row : rows) {
+    if (row.files >= 10000 && (row.dirty_pct == 0.1 || row.dirty_pct == 1.0) &&
+        row.digest.wall_ms >= row.full.wall_ms) {
+      std::printf("digest walk not faster at %zu files, %.1f%% dirty: %.2f vs %.2f ms\n",
+                  row.files, row.dirty_pct, row.digest.wall_ms, row.full.wall_ms);
+      digest_faster = false;
+    }
+  }
   json << ",\"clean_files\":" << clean_files
        << ",\"clean_rpc_reduction\":" << clean_reduction;
 
@@ -342,5 +364,7 @@ int main() {
   std::printf("\nShape check vs paper: full-walk RPCs grow with directory size even\n"
               "when nothing changed; digest-guided RPCs track the dirty delta, and\n"
               "client operations never block or fail during the protocol (3.3).\n");
-  return (clean_reduction >= 50.0 && r2.client_failures == 0 && r2.converged) ? 0 : 1;
+  return (clean_reduction >= 50.0 && digest_faster && r2.client_failures == 0 && r2.converged)
+             ? 0
+             : 1;
 }

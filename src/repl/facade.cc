@@ -150,6 +150,14 @@ Status Get(ByteReader& r, SubtreeDigest& row) {
                          : OkStatus();
 }
 
+void Put(ByteWriter& w, const BucketDelta& delta) {
+  PutAll(w, delta.vv, delta.buckets, delta.entries, delta.attrs);
+}
+
+Status Get(ByteReader& r, BucketDelta& delta) {
+  return GetAll(r, delta.vv, delta.buckets, delta.entries, delta.attrs);
+}
+
 void Put(ByteWriter& w, const DirEntryPlus& row) {
   PutAll(w, row.entry, row.attr_status);
   if (row.attr_status.ok()) {
@@ -167,6 +175,8 @@ Status Get(ByteReader& r, DirEntryPlus& row) {
 // elements, before anything is reserved.
 template <typename T>
 constexpr size_t kMinWireSize = T::kMinWireSize;
+template <>
+constexpr size_t kMinWireSize<uint32_t> = 4;
 template <>
 constexpr size_t kMinWireSize<uint64_t> = 8;
 template <>
@@ -297,6 +307,7 @@ std::vector<uint8_t> ExecutePhysRequest(PhysicalLayer* layer,
     case PhysOp::kBatchGetAttributes: return Serve(layer, r, &PhysicalApi::BatchGetAttributes);
     case PhysOp::kReadDirPlus: return Serve(layer, r, &PhysicalApi::ReadDirPlus);
     case PhysOp::kGetSubtreeDigests: return Serve(layer, r, &PhysicalApi::GetSubtreeDigests);
+    case PhysOp::kGetBucketDelta: return Serve(layer, r, &PhysicalApi::GetBucketDelta);
   }
   return Respond(InvalidArgumentError("unknown physical-layer opcode"));
 }
@@ -548,6 +559,12 @@ StatusOr<std::vector<SubtreeDigest>> RemotePhysical::GetSubtreeDigests(
     const std::vector<FileId>& dirs) {
   return Call</*kSingleTrip=*/true>(PhysOp::kGetSubtreeDigests, &PhysicalApi::GetSubtreeDigests,
                                     dirs);
+}
+
+StatusOr<BucketDelta> RemotePhysical::GetBucketDelta(
+    FileId dir, const std::vector<uint64_t>& bucket_digests) {
+  return Call</*kSingleTrip=*/true>(PhysOp::kGetBucketDelta, &PhysicalApi::GetBucketDelta, dir,
+                                    bucket_digests);
 }
 
 StatusOr<std::vector<uint8_t>> RemotePhysical::ReadData(FileId file, uint64_t offset,

@@ -71,6 +71,7 @@ enum class PhysOp : uint8_t {
   kBatchGetAttributes = 23,
   kReadDirPlus = 24,
   kGetSubtreeDigests = 25,
+  kGetBucketDelta = 26,
 };
 
 // Executes one marshalled request against a local physical layer and
@@ -123,6 +124,8 @@ class RemotePhysical : public PhysicalApi {
       const std::vector<FileId>& files) override;
   StatusOr<std::vector<SubtreeDigest>> GetSubtreeDigests(
       const std::vector<FileId>& dirs) override;
+  StatusOr<BucketDelta> GetBucketDelta(FileId dir,
+                                       const std::vector<uint64_t>& bucket_digests) override;
   StatusOr<std::vector<uint8_t>> ReadData(FileId file, uint64_t offset,
                                           uint32_t length) override;
   StatusOr<std::vector<uint8_t>> ReadAllData(FileId file) override;

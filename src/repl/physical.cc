@@ -1,6 +1,7 @@
 #include "src/repl/physical.h"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <unordered_set>
 
@@ -31,6 +32,8 @@ constexpr size_t kDirHeaderSize = 20;  // u32 magic + u64 generation + u64 entry
 // directory already on the current path (should be impossible in the
 // acyclic namespace; the marker keeps the rollup finite regardless).
 constexpr uint64_t kDigestCycleMarker = 0xF1C05C1CF1C05C1CULL;
+// The most buckets a GetBucketDelta request may split a directory into.
+constexpr size_t kMaxDigestBuckets = size_t{1} << 20;
 
 bool HasSuffix(std::string_view name, std::string_view suffix) {
   return name.size() >= suffix.size() &&
@@ -79,27 +82,38 @@ StatusOr<size_t> FindAliveByPresentedName(const std::vector<FicusDirEntry>& entr
   return NotFoundError(std::string(name));
 }
 
-// Digest of one directory's raw entry set (order-independent).
-uint64_t EntrySetDigest(const std::vector<FicusDirEntry>& entries) {
-  uint64_t set = 0;
+// ContentHash of each raw entry, in order: the elements of the entry digest.
+std::vector<uint64_t> EntryHashes(const std::vector<FicusDirEntry>& entries) {
+  std::vector<uint64_t> hashes;
+  hashes.reserve(entries.size());
   std::vector<uint8_t> scratch;
   for (const auto& e : entries) {
     scratch.clear();
     ByteWriter w(scratch);
     e.Serialize(w);
-    set = DigestAddElement(set, ContentHash(scratch.data(), scratch.size()));
+    hashes.push_back(ContentHash(scratch.data(), scratch.size()));
+  }
+  return hashes;
+}
+
+// Digest of one directory's raw entry set (order-independent).
+uint64_t EntrySetDigest(const std::vector<uint64_t>& hashes) {
+  uint64_t set = 0;
+  for (uint64_t h : hashes) {
+    set = DigestAddElement(set, h);
   }
   return set;
 }
 
-// A whole directory file: header at `generation`, then the entries.
-std::vector<uint8_t> EncodeDirFile(uint64_t generation,
-                                   const std::vector<FicusDirEntry>& entries) {
+// A whole directory file: header at `generation`, then the entries, whose
+// hashes are `hashes`.
+std::vector<uint8_t> EncodeDirFile(uint64_t generation, const std::vector<FicusDirEntry>& entries,
+                                   const std::vector<uint64_t>& hashes) {
   std::vector<uint8_t> bytes;
   ByteWriter w(bytes);
   w.PutU32(kDirMagic);
   w.PutU64(generation);
-  w.PutU64(EntrySetDigest(entries));
+  w.PutU64(EntrySetDigest(hashes));
   std::vector<uint8_t> body = SerializeDirEntries(entries);
   bytes.insert(bytes.end(), body.begin(), body.end());
   return bytes;
@@ -130,7 +144,7 @@ StatusOr<std::vector<FicusDirEntry>> DecodeDirFile(const std::vector<uint8_t>& b
   std::vector<uint8_t> body(bytes.begin() + static_cast<std::ptrdiff_t>(kDirHeaderSize),
                             bytes.end());
   FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> entries, DeserializeDirEntries(body));
-  if (EntrySetDigest(entries) != header.entry_digest) {
+  if (EntrySetDigest(EntryHashes(entries)) != header.entry_digest) {
     return CorruptError("entry digest mismatch (stale or damaged directory file)");
   }
   return entries;
@@ -140,6 +154,28 @@ StatusOr<DirHeader> ReadDirHeader(ufs::Ufs* ufs, ufs::InodeNum ino) {
   std::vector<uint8_t> header;
   FICUS_RETURN_IF_ERROR(ufs->ReadAt(ino, 0, kDirHeaderSize, header).status());
   return DecodeDirHeader(header);
+}
+
+// The content stamp of an alive non-directory entry naming `file`: its
+// file-id, version vector and conflict flag. Mtime and ownership are
+// deliberately excluded — they do not participate in reconciliation
+// decisions, so including them would cause spurious descents. A file this
+// replica does not store, or cannot read the attributes of, (`attrs`
+// null) gets a distinct "unstored" stamp: such a directory can never
+// digest-equal a replica that stores the file, which safely forces the
+// per-file sweep there.
+uint64_t ContentStamp(FileId file, const ReplicaAttributes* attrs) {
+  std::vector<uint8_t> scratch;
+  ByteWriter w(scratch);
+  w.PutU64(file.Pack());
+  if (attrs != nullptr) {
+    w.PutU8(1);
+    attrs->vv.Serialize(w);
+    w.PutU8(attrs->conflict ? 1 : 0);
+  } else {
+    w.PutU8(0);  // unstored marker
+  }
+  return ContentHash(scratch.data(), scratch.size());
 }
 
 // ContentHash of each kDeltaBlockSize block of data[0, size) (the last
@@ -185,6 +221,7 @@ PhysicalLayer::PhysicalLayer(ufs::Ufs* ufs, const Clock* clock, PhysicalOptions 
   stats_.journal_replays = registry_->counter("repl.phys.commit.journal_replays");
   stats_.commit_bytes_written = registry_->counter("repl.phys.commit.bytes_written");
   stats_.digest_blocks_hashed = registry_->counter("repl.physical.digest.blocks_hashed");
+  stats_.attr_loads = registry_->counter("repl.physical.attr_loads");
 }
 
 PhysicalStats PhysicalLayer::stats() const {
@@ -403,6 +440,7 @@ StatusOr<ufs::InodeNum> PhysicalLayer::AttrExtInode(FileId file) {
 
 StatusOr<ReplicaAttributes> PhysicalLayer::LoadAttributes(FileId file) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
+  stats_.attr_loads->Increment();
   if (options_.attr_placement == AttrPlacement::kInode) {
     FICUS_ASSIGN_OR_RETURN(ufs::InodeNum ino, AttrExtInode(file));
     FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> ext, ufs_->ReadExt(ino));
@@ -419,39 +457,52 @@ StatusOr<ReplicaAttributes> PhysicalLayer::LoadAttributes(FileId file) {
 
 Status PhysicalLayer::StoreAttributes(FileId file, const ReplicaAttributes& attrs) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  // Every version-vector or conflict-flag change funnels through here, so
-  // this is the one choke point for content-state digest invalidation.
-  // (Mtime-only stores over-invalidate; that is safe, merely lazy work.)
-  InvalidateDigestUp(file);
-  if (options_.attr_placement == AttrPlacement::kInode) {
-    std::vector<uint8_t> bytes = attrs.ToBytes();
-    FICUS_ASSIGN_OR_RETURN(ufs::InodeNum ino, AttrExtInode(file));
-    if (bytes.size() + 1 <= ufs::kMaxInodeExt) {
-      std::vector<uint8_t> ext;
-      ext.reserve(bytes.size() + 1);
-      ext.push_back(kExtInlineAttrs);
-      ext.insert(ext.end(), bytes.begin(), bytes.end());
-      return ufs_->WriteExt(ino, ext);
+  // Every version-vector or conflict-flag change funnels through here (the
+  // delta commit's journaled attributes aside), so this is where the
+  // digest tree learns of them. A failed store leaves the stamp unknown.
+  Status stored = [&]() -> Status {
+    if (options_.attr_placement == AttrPlacement::kInode) {
+      std::vector<uint8_t> bytes = attrs.ToBytes();
+      FICUS_ASSIGN_OR_RETURN(ufs::InodeNum ino, AttrExtInode(file));
+      if (bytes.size() + 1 <= ufs::kMaxInodeExt) {
+        std::vector<uint8_t> ext;
+        ext.reserve(bytes.size() + 1);
+        ext.push_back(kExtInlineAttrs);
+        ext.insert(ext.end(), bytes.begin(), bytes.end());
+        return ufs_->WriteExt(ino, ext);
+      }
+      // Too large for the inode (a very wide version vector): spill to an
+      // aux file and leave a marker so loads know where to look.
+      FICUS_RETURN_IF_ERROR(ufs_->WriteExt(ino, {kExtSpilled}));
+      FICUS_ASSIGN_OR_RETURN(Location loc, Find(file));
+      std::string aux_name =
+          IsDirectoryLike(loc.type) ? std::string(kAttrFile) : file.ToHex() + kAttrSuffix;
+      ufs::InodeNum parent = IsDirectoryLike(loc.type) ? loc.self_dir : loc.parent_dir;
+      auto aux = ufs_->DirLookup(parent, aux_name);
+      if (!aux.ok()) {
+        FICUS_ASSIGN_OR_RETURN(
+            aux, ufs_->CreateFile(parent, aux_name, ufs::FileType::kRegular, 0600, 0, 0));
+      }
+      return ufs_->WriteAll(aux.value(), bytes);
     }
-    // Too large for the inode (a very wide version vector): spill to an
-    // aux file and leave a marker so loads know where to look.
-    FICUS_RETURN_IF_ERROR(ufs_->WriteExt(ino, {kExtSpilled}));
-    FICUS_ASSIGN_OR_RETURN(Location loc, Find(file));
-    std::string aux_name =
-        IsDirectoryLike(loc.type) ? std::string(kAttrFile) : file.ToHex() + kAttrSuffix;
-    ufs::InodeNum parent = IsDirectoryLike(loc.type) ? loc.self_dir : loc.parent_dir;
-    auto aux = ufs_->DirLookup(parent, aux_name);
-    if (!aux.ok()) {
-      FICUS_ASSIGN_OR_RETURN(
-          aux, ufs_->CreateFile(parent, aux_name, ufs::FileType::kRegular, 0600, 0, 0));
-    }
-    return ufs_->WriteAll(aux.value(), bytes);
+    FICUS_ASSIGN_OR_RETURN(ufs::InodeNum ino, AttrInode(file));
+    return ufs_->WriteAll(ino, attrs.ToBytes());
+  }();
+  if (stored.ok()) {
+    NoteAttributes(file, attrs);
+  } else {
+    ForgetDigestStamp(file);
   }
-  FICUS_ASSIGN_OR_RETURN(ufs::InodeNum ino, AttrInode(file));
-  return ufs_->WriteAll(ino, attrs.ToBytes());
+  return stored;
 }
 
 StatusOr<std::vector<FicusDirEntry>> PhysicalLayer::LoadDirEntries(FileId dir) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  FICUS_ASSIGN_OR_RETURN(const std::vector<FicusDirEntry>* entries, CachedDirEntries(dir));
+  return *entries;
+}
+
+StatusOr<const std::vector<FicusDirEntry>*> PhysicalLayer::CachedDirEntries(FileId dir) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_ASSIGN_OR_RETURN(Location loc, Find(dir));
   if (!IsDirectoryLike(loc.type)) {
@@ -463,21 +514,22 @@ StatusOr<std::vector<FicusDirEntry>> PhysicalLayer::LoadDirEntries(FileId dir) {
   auto it = dir_cache_.find(dir);
   if (it != dir_cache_.end() && it->second.generation == header.generation) {
     stats_.dir_cache_hits->Increment();
-    return it->second.entries;
+    return &it->second.entries;
   }
   stats_.dir_cache_misses->Increment();
   FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ufs_->ReadAll(ino));
   FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> entries, DecodeDirFile(bytes));
-  CacheDir(dir, header.generation, entries);
-  return entries;
+  return CacheDir(dir, header.generation, std::move(entries));
 }
 
-void PhysicalLayer::CacheDir(FileId dir, uint64_t generation,
-                             const std::vector<FicusDirEntry>& entries) {
+const std::vector<FicusDirEntry>* PhysicalLayer::CacheDir(FileId dir, uint64_t generation,
+                                                          std::vector<FicusDirEntry> entries) {
   if (dir_cache_.size() >= kMaxCachedDirs) {
     dir_cache_.erase(dir_cache_.begin());
   }
-  dir_cache_[dir] = CachedDir{generation, entries};
+  CachedDir& cached = dir_cache_[dir];
+  cached = CachedDir{generation, std::move(entries)};
+  return &cached.entries;
 }
 
 Status PhysicalLayer::StoreDirEntries(FileId dir, const std::vector<FicusDirEntry>& entries) {
@@ -493,15 +545,27 @@ Status PhysicalLayer::StoreDirEntries(FileId dir, const std::vector<FicusDirEntr
     FICUS_ASSIGN_OR_RETURN(DirHeader header, ReadDirHeader(ufs_, ino));
     generation = header.generation + 1;
   }
-  FICUS_RETURN_IF_ERROR(ufs_->WriteAll(ino, EncodeDirFile(generation, entries)));
-  CacheDir(dir, generation, entries);
+  const std::vector<uint64_t> hashes = EntryHashes(entries);
+  Status wrote = ufs_->WriteAll(ino, EncodeDirFile(generation, entries, hashes));
   // Keep the digest tree honest: every child named here hangs off this
   // directory for rollup purposes, and this directory's summary (plus
-  // every ancestor's) is now stale.
+  // every ancestor's) is now stale. The header's entry hashes are the
+  // node's new entry parts; after a failed write, which may have left
+  // either image, the node is rebuilt instead.
   for (const auto& e : entries) {
     LinkDigestParent(e.file, dir);
   }
-  InvalidateDigestUp(dir);
+  auto node = digest_tree_.find(dir);
+  if (node != digest_tree_.end()) {
+    if (wrote.ok()) {
+      node->second.elements = DigestElements(entries, hashes, node->second.elements);
+    } else {
+      digest_tree_.erase(node);
+    }
+  }
+  MarkDigestStale(dir);
+  FICUS_RETURN_IF_ERROR(wrote);
+  CacheDir(dir, generation, entries);
   return OkStatus();
 }
 
@@ -574,7 +638,7 @@ Status PhysicalLayer::CreateStorage(ufs::InodeNum parent, const std::vector<File
       FICUS_ASSIGN_OR_RETURN(
           std::vector<ufs::InodeNum> own,
           ufs_->CreateFiles(self, inside, ufs::FileType::kRegular, 0600, 0, 0));
-      FICUS_RETURN_IF_ERROR(ufs_->WriteAll(own[0], EncodeDirFile(0, {})));
+      FICUS_RETURN_IF_ERROR(ufs_->WriteAll(own[0], EncodeDirFile(0, {}, {})));
     }
     locations_[files[i]] = Location{parent, self, type};
   }
@@ -870,13 +934,17 @@ StatusOr<bool> PhysicalLayer::TryDeltaCommit(FileId file, const Location& loc,
   // Anything else — including the simulated crash's I/O error, possibly
   // fired after the commit point — invalidates our derived caches.
   digest_cache_.erase(file);
-  InvalidateDigestUp(file);
-  FICUS_RETURN_IF_ERROR(st);
+  if (!st.ok()) {
+    ForgetDigestStamp(file);
+    return st;
+  }
   if (options_.attr_placement == AttrPlacement::kAuxFile) {
     // Idempotent tail, same crash window as the shadow path's final store:
     // a crash here leaves the replica claiming an older version than it
     // holds, and the next propagation reinstall converges it.
     FICUS_RETURN_IF_ERROR(StoreAttributes(file, attrs));
+  } else {
+    NoteAttributes(file, attrs);  // they rode the journaled inode image
   }
   return true;
 }
@@ -922,6 +990,9 @@ Status PhysicalLayer::InstallVersion(FileId file, const std::vector<uint8_t>& co
   std::string base = file.ToHex();
   std::string shadow = base + kShadowSuffix;
   digest_cache_.erase(file);
+  // With inode-resident attributes the repoint swaps them in before the
+  // final store below: until that store lands, the stamp is unknown.
+  ForgetDigestStamp(file);
 
   // Discard any leftover shadow from an interrupted earlier install.
   if (ufs_->DirLookup(loc.parent_dir, shadow).ok()) {
@@ -1516,8 +1587,7 @@ StatusOr<int> PhysicalLayer::GarbageCollect() {
       alive_refs_.erase(file);
       dir_cache_.erase(file);
       digest_cache_.erase(file);
-      InvalidateDigestUp(file);
-      digest_tree_.erase(file);
+      ForgetDigestStamp(file);
       digest_parents_.erase(file);
       ++collected;
       progress = true;
@@ -1625,8 +1695,8 @@ void PhysicalLayer::LinkDigestParent(FileId child, FileId dir) {
   digest_parents_[child].insert(dir);
 }
 
-void PhysicalLayer::InvalidateDigestUp(FileId file) {
-  // Drop the memoized node for `file` and every ancestor reachable
+void PhysicalLayer::MarkDigestStale(FileId file) {
+  // Mark the memoized node for `file` and every ancestor reachable
   // through the reverse links. Absence of a cached node is NOT a stop
   // condition: links are built eagerly (scan/store time) while nodes are
   // built lazily (first GetSubtreeDigests), so an un-memoized directory
@@ -1639,7 +1709,10 @@ void PhysicalLayer::InvalidateDigestUp(FileId file) {
     if (!visited.insert(cur).second) {
       continue;
     }
-    digest_tree_.erase(cur);
+    auto node = digest_tree_.find(cur);
+    if (node != digest_tree_.end()) {
+      node->second.stale = true;
+    }
     auto it = digest_parents_.find(cur);
     if (it != digest_parents_.end()) {
       for (FileId parent : it->second) {
@@ -1649,66 +1722,126 @@ void PhysicalLayer::InvalidateDigestUp(FileId file) {
   }
 }
 
-StatusOr<PhysicalLayer::DigestNode> PhysicalLayer::ComputeDigestNode(
+void PhysicalLayer::NoteAttributes(FileId file, const ReplicaAttributes& attrs) {
+  const uint64_t stamp = ContentStamp(file, &attrs);
+  auto parents = digest_parents_.find(file);
+  if (parents != digest_parents_.end()) {
+    for (FileId parent : parents->second) {
+      auto node = digest_tree_.find(parent);
+      if (node == digest_tree_.end()) {
+        continue;
+      }
+      for (DigestElement& e : node->second.elements) {
+        if (e.file == file && e.stamped) {
+          e.stamp = stamp;
+          e.stamp_known = true;
+        }
+      }
+    }
+  }
+  auto own = digest_tree_.find(file);
+  if (own != digest_tree_.end()) {
+    own->second.vv = attrs.vv;
+  }
+  MarkDigestStale(file);
+}
+
+void PhysicalLayer::ForgetDigestStamp(FileId file) {
+  auto parents = digest_parents_.find(file);
+  if (parents != digest_parents_.end()) {
+    for (FileId parent : parents->second) {
+      auto node = digest_tree_.find(parent);
+      if (node == digest_tree_.end()) {
+        continue;
+      }
+      for (DigestElement& e : node->second.elements) {
+        if (e.file == file) {
+          e.stamp_known = false;
+        }
+      }
+    }
+  }
+  MarkDigestStale(file);
+  digest_tree_.erase(file);
+}
+
+size_t PhysicalLayer::BucketCountFor(size_t entries) {
+  return std::bit_ceil(std::max<size_t>(
+      1, (entries + kNamesPerDigestBucket - 1) / kNamesPerDigestBucket));
+}
+
+std::vector<PhysicalLayer::DigestElement> PhysicalLayer::DigestElements(
+    const std::vector<FicusDirEntry>& entries, const std::vector<uint64_t>& hashes,
+    const std::vector<DigestElement>& old) {
+  std::vector<DigestElement> elements(entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const FicusDirEntry& e = entries[i];
+    DigestElement& el = elements[i];
+    el.file = e.file;
+    el.name_hash = ufs::UfsNameHash(e.name);
+    el.dir_like = IsDirectoryLike(e.type);
+    el.stamped = e.alive && !el.dir_like;
+    el.entry = hashes[i];
+    // A stamp belongs to the file, not to the entry: entries only ever
+    // append or change in place, so the one at the same position that
+    // named the same file still knows it.
+    if (el.stamped && i < old.size() && old[i].file == e.file && old[i].stamped &&
+        old[i].stamp_known) {
+      el.stamp = old[i].stamp;
+      el.stamp_known = true;
+    }
+  }
+  return elements;
+}
+
+StatusOr<PhysicalLayer::DigestNode*> PhysicalLayer::ComputeDigestNode(
     FileId dir, std::set<FileId>& visiting, std::map<FileId, DigestNode>& memo) {
-  auto cached = memo.find(dir);
-  if (cached != memo.end()) {
-    return cached->second;
+  auto it = memo.find(dir);
+  if (it == memo.end()) {
+    FICUS_ASSIGN_OR_RETURN(const std::vector<FicusDirEntry>* entries, CachedDirEntries(dir));
+    DigestNode node;
+    node.elements = DigestElements(*entries, EntryHashes(*entries), {});
+    FICUS_ASSIGN_OR_RETURN(ReplicaAttributes attrs, LoadAttributes(dir));
+    node.vv = attrs.vv;
+    it = memo.emplace(dir, std::move(node)).first;
   }
-  FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> entries, LoadDirEntries(dir));
-  FICUS_ASSIGN_OR_RETURN(ReplicaAttributes attrs, LoadAttributes(dir));
-
-  DigestNode node;
-  node.vv = attrs.vv;
-  node.entry_digest = EntrySetDigest(entries);
-
-  // Content-state stamps for every ALIVE non-directory child: file-id +
-  // version vector + conflict flag. Mtime and ownership are deliberately
-  // excluded — they do not participate in reconciliation decisions, so
-  // including them would cause spurious descents. An alive entry whose
-  // storage this replica declined (selective replication) gets a distinct
-  // "unstored" stamp: such a directory can never digest-equal a replica
-  // that stores the file, which safely forces the per-file sweep there.
-  uint64_t files = 0;
-  std::vector<uint8_t> scratch;
-  for (const auto& e : entries) {
-    if (!e.alive || IsDirectoryLike(e.type)) {
-      continue;
-    }
-    scratch.clear();
-    ByteWriter sw(scratch);
-    sw.PutU64(e.file.Pack());
-    auto fa = Stores(e.file) ? LoadAttributes(e.file)
-                             : StatusOr<ReplicaAttributes>(
-                                   NotFoundError("unstored"));
-    if (fa.ok()) {
-      sw.PutU8(1);
-      fa->vv.Serialize(sw);
-      sw.PutU8(fa->conflict ? 1 : 0);
-    } else {
-      sw.PutU8(0);  // unstored marker
-    }
-    files = DigestAddElement(files, ContentHash(scratch.data(), scratch.size()));
+  DigestNode& node = it->second;
+  if (!node.stale) {
+    return &node;
   }
-  node.files_digest = files;
-
+  // Refresh: stamps it could not keep, then the sums and the bucket split
+  // (O(entries) additions), then the fold over the subtrees.
+  node.entry_digest = 0;
+  node.files_digest = 0;
+  node.buckets.assign(BucketCountFor(node.elements.size()), 0);
   // Locally stored directory-like children, dead entries INCLUDED (a
   // tombstoned subdirectory still holds entries and tombstones a remote
   // may be missing), deduplicated and folded in sorted file-id order.
   std::set<FileId> child_dirs;
-  for (const auto& e : entries) {
-    if (IsDirectoryLike(e.type) && Stores(e.file)) {
+  for (DigestElement& e : node.elements) {
+    if (e.stamped && !e.stamp_known) {
+      auto attrs = Stores(e.file) ? LoadAttributes(e.file)
+                                  : StatusOr<ReplicaAttributes>(NotFoundError("unstored"));
+      e.stamp = ContentStamp(e.file, attrs.ok() ? &attrs.value() : nullptr);
+      e.stamp_known = true;
+    }
+    node.entry_digest = DigestAddElement(node.entry_digest, e.entry);
+    if (e.stamped) {
+      node.files_digest = DigestAddElement(node.files_digest, e.stamp);
+    }
+    uint64_t& bucket = node.buckets[e.name_hash & (node.buckets.size() - 1)];
+    bucket = DigestAddElement(bucket, e.digest());
+    if (e.dir_like && Stores(e.file)) {
       child_dirs.insert(e.file);
     }
   }
   uint64_t subtree = DigestMix(0, node.entry_digest);
   subtree = DigestMix(subtree, node.files_digest);
-  scratch.clear();
-  {
-    ByteWriter vw(scratch);
-    node.vv.Serialize(vw);
-  }
+  std::vector<uint8_t> scratch;
+  ByteWriter vw(scratch);
+  node.vv.Serialize(vw);
   subtree = DigestMix(subtree, ContentHash(scratch.data(), scratch.size()));
+  node.children.clear();
   visiting.insert(dir);
   for (FileId child : child_dirs) {
     uint64_t child_digest;
@@ -1723,15 +1856,15 @@ StatusOr<PhysicalLayer::DigestNode> PhysicalLayer::ComputeDigestNode(
         visiting.erase(dir);
         return child_node.status();
       }
-      child_digest = child_node->subtree_digest;
+      child_digest = (*child_node)->subtree_digest;
     }
     node.children.emplace_back(child, child_digest);
     subtree = DigestMix(DigestMix(subtree, child.Pack()), child_digest);
   }
   visiting.erase(dir);
   node.subtree_digest = subtree;
-  memo[dir] = node;
-  return node;
+  node.stale = false;
+  return &node;
 }
 
 StatusOr<std::vector<SubtreeDigest>> PhysicalLayer::GetSubtreeDigests(
@@ -1754,11 +1887,11 @@ StatusOr<std::vector<SubtreeDigest>> PhysicalLayer::GetSubtreeDigests(
       if (!node.ok()) {
         row.status = node.status();
       } else {
-        row.vv = node->vv;
-        row.entry_digest = node->entry_digest;
-        row.files_digest = node->files_digest;
-        row.subtree_digest = node->subtree_digest;
-        row.children = node->children;
+        row.vv = (*node)->vv;
+        row.entry_digest = (*node)->entry_digest;
+        row.files_digest = (*node)->files_digest;
+        row.subtree_digest = (*node)->subtree_digest;
+        row.children = (*node)->children;
       }
     }
     out.push_back(std::move(row));
@@ -1766,29 +1899,132 @@ StatusOr<std::vector<SubtreeDigest>> PhysicalLayer::GetSubtreeDigests(
   return out;
 }
 
+StatusOr<std::vector<uint64_t>> PhysicalLayer::BucketDigests(FileId dir) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  FICUS_RETURN_IF_ERROR(CheckAttached());
+  std::set<FileId> visiting;
+  FICUS_ASSIGN_OR_RETURN(DigestNode * node, ComputeDigestNode(dir, visiting, digest_tree_));
+  return node->buckets;
+}
+
+StatusOr<PhysicalLayer::BucketScan> PhysicalLayer::ScanBuckets(FileId dir,
+                                                                const std::vector<bool>& differs) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  FICUS_RETURN_IF_ERROR(CheckAttached());
+  // A memoized node's elements track every directory store, stale or not.
+  auto it = digest_tree_.find(dir);
+  const DigestNode* node = it != digest_tree_.end() ? &it->second : nullptr;
+  if (node == nullptr) {
+    std::set<FileId> visiting;
+    FICUS_ASSIGN_OR_RETURN(node, ComputeDigestNode(dir, visiting, digest_tree_));
+  }
+  BucketScan scan;
+  std::set<FileId> unique;
+  for (const DigestElement& e : node->elements) {
+    if (e.dir_like) {
+      if (Stores(e.file)) {
+        scan.subdirs.push_back(e.file);
+      }
+    } else if (e.stamped && differs[e.name_hash & (differs.size() - 1)] && Stores(e.file) &&
+               unique.insert(e.file).second) {
+      scan.files.push_back(e.file);
+    }
+  }
+  return scan;
+}
+
+StatusOr<BucketDelta> PhysicalLayer::GetBucketDelta(FileId dir,
+                                                    const std::vector<uint64_t>& bucket_digests) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  FICUS_RETURN_IF_ERROR(CheckAttached());
+  const size_t count = bucket_digests.size();
+  if (!std::has_single_bit(count) || count > kMaxDigestBuckets) {
+    return InvalidArgumentError("bucket count must be a power of two up to 2^20");
+  }
+  FICUS_ASSIGN_OR_RETURN(Location loc, Find(dir));
+  if (!IsDirectoryLike(loc.type)) {
+    return NotDirError("file " + dir.ToString() + " is not a directory");
+  }
+  std::set<FileId> visiting;
+  FICUS_ASSIGN_OR_RETURN(DigestNode * node, ComputeDigestNode(dir, visiting, digest_tree_));
+  // The caller's split: this node's own when the counts agree, else its
+  // element digests folded again, O(entries) additions either way.
+  std::vector<uint64_t> mine = node->buckets;
+  if (mine.size() != count) {
+    mine.assign(count, 0);
+    for (const DigestElement& e : node->elements) {
+      uint64_t& bucket = mine[e.name_hash & (count - 1)];
+      bucket = DigestAddElement(bucket, e.digest());
+    }
+  }
+  BucketDelta delta;
+  delta.vv = node->vv;
+  std::vector<bool> differs(count, false);
+  for (uint32_t b = 0; b < count; ++b) {
+    if (mine[b] != bucket_digests[b]) {
+      differs[b] = true;
+      delta.buckets.push_back(b);
+    }
+  }
+  if (delta.buckets.empty()) {
+    return delta;
+  }
+  FICUS_ASSIGN_OR_RETURN(const std::vector<FicusDirEntry>* entries, CachedDirEntries(dir));
+  std::set<FileId> named;
+  for (const FicusDirEntry& e : *entries) {
+    if (!differs[ufs::UfsBucketOf(e.name, count)]) {
+      continue;
+    }
+    if ((e.type == FicusFileType::kRegular || e.type == FicusFileType::kSymlink) &&
+        named.insert(e.file).second) {
+      FileAttrResult row;
+      row.file = e.file;
+      auto attrs = Stores(e.file) ? LoadAttributes(e.file)
+                                  : StatusOr<ReplicaAttributes>(NotFoundError(
+                                        "no replica of file " + e.file.ToString()));
+      row.status = attrs.status();
+      if (attrs.ok()) {
+        row.attrs = std::move(attrs).value();
+      }
+      delta.attrs.push_back(std::move(row));
+    }
+    delta.entries.push_back(e);
+  }
+  return delta;
+}
+
 StatusOr<std::vector<std::string>> PhysicalLayer::ValidateDigestTree() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_RETURN_IF_ERROR(CheckAttached());
   std::vector<std::string> problems;
 
-  // Every memoized node, recomputed from scratch into a private memo,
-  // must agree with its cached value — a disagreement means a mutation
-  // path missed its invalidation hook.
-  std::map<FileId, DigestNode> snapshot = digest_tree_;
-  for (const auto& [dir, cached] : snapshot) {
+  // Every memoized node, brought current by the incremental path and then
+  // recomputed from scratch into a private memo, must agree with it — a
+  // disagreement means a mutation path missed its upkeep.
+  std::vector<FileId> memoized;
+  for (const auto& [dir, node] : digest_tree_) {
+    memoized.push_back(dir);
+  }
+  for (FileId dir : memoized) {
     std::set<FileId> visiting;
+    auto cached = ComputeDigestNode(dir, visiting, digest_tree_);
     std::map<FileId, DigestNode> scratch;
-    auto fresh = ComputeDigestNode(dir, visiting, scratch);
+    auto fresh = cached.ok() ? ComputeDigestNode(dir, visiting, scratch) : cached;
     if (!fresh.ok()) {
       problems.push_back("digest " + dir.ToString() + ": recompute failed: " +
                          fresh.status().ToString());
       continue;
     }
-    if (fresh->subtree_digest != cached.subtree_digest ||
-        fresh->entry_digest != cached.entry_digest ||
-        fresh->files_digest != cached.files_digest) {
+    const DigestNode& c = **cached;
+    const DigestNode& f = **fresh;
+    if (f.subtree_digest != c.subtree_digest || f.entry_digest != c.entry_digest ||
+        f.files_digest != c.files_digest) {
       problems.push_back("digest " + dir.ToString() +
                          ": cached digest disagrees with recomputed contents");
+    }
+    if (f.buckets != c.buckets) {
+      problems.push_back("digest " + dir.ToString() +
+                         ": cached bucket digests disagree with recomputed contents");
     }
   }
 
@@ -1835,13 +2071,9 @@ Status PhysicalLayer::CorruptDigestForTest(FileId dir) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_RETURN_IF_ERROR(CheckAttached());
   std::set<FileId> visiting;
-  FICUS_RETURN_IF_ERROR(ComputeDigestNode(dir, visiting, digest_tree_).status());
-  auto it = digest_tree_.find(dir);
-  if (it == digest_tree_.end()) {
-    return InternalError("digest node for " + dir.ToString() + " not cached");
-  }
-  it->second.subtree_digest ^= 0xDEADBEEFCAFEF00DULL;
-  it->second.entry_digest ^= 0xDEADBEEFCAFEF00DULL;
+  FICUS_ASSIGN_OR_RETURN(DigestNode * node, ComputeDigestNode(dir, visiting, digest_tree_));
+  node->subtree_digest ^= 0xDEADBEEFCAFEF00DULL;
+  node->entry_digest ^= 0xDEADBEEFCAFEF00DULL;
   return OkStatus();
 }
 

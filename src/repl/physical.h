@@ -166,6 +166,23 @@ class PhysicalLayer : public PhysicalApi {
       const std::vector<FileId>& files) override;
   StatusOr<std::vector<SubtreeDigest>> GetSubtreeDigests(
       const std::vector<FileId>& dirs) override;
+  StatusOr<BucketDelta> GetBucketDelta(FileId dir,
+                                       const std::vector<uint64_t>& bucket_digests) override;
+  // The caller's side of GetBucketDelta: `dir`'s digest split into
+  // buckets, their count chosen from its entry count (about
+  // kNamesPerDigestBucket names each).
+  StatusOr<std::vector<uint64_t>> BucketDigests(FileId dir);
+  static constexpr size_t kNamesPerDigestBucket = 8;
+  // What a digest-guided pass needs of `dir`'s current entries, read off
+  // its digest node instead of a copy of the directory, in entry order:
+  // each locally stored regular file or symlink alive in a bucket
+  // `differs` marks (of a split into differs.size() buckets, a power of
+  // two), once, and every locally stored directory-like child.
+  struct BucketScan {
+    std::vector<FileId> files;
+    std::vector<FileId> subdirs;
+  };
+  StatusOr<BucketScan> ScanBuckets(FileId dir, const std::vector<bool>& differs);
   StatusOr<std::vector<uint8_t>> ReadData(FileId file, uint64_t offset,
                                           uint32_t length) override;
   StatusOr<std::vector<uint8_t>> ReadAllData(FileId file) override;
@@ -251,9 +268,10 @@ class PhysicalLayer : public PhysicalApi {
   // Returns a list of problems (empty = consistent).
   StatusOr<std::vector<std::string>> CheckConsistency();
 
-  // Digest-tree oracle: recomputes every cached subtree digest from
-  // scratch (bypassing the incremental cache) and reports any cached node
-  // that disagrees, plus any directory file without a valid header or
+  // Digest-tree oracle: brings every memoized node current the way
+  // GetSubtreeDigests would, recomputes it from scratch (bypassing the
+  // incremental cache) and reports any node whose digests or bucket
+  // digests disagree, plus any directory file without a valid header or
   // whose header's entry digest no longer matches the entries it covers.
   // Directories with no cached node are not problems — the tree is lazily
   // built. Returns a list of problems (empty = digests agree with
@@ -324,8 +342,12 @@ class PhysicalLayer : public PhysicalApi {
   // bumps it. Coherent even across several PhysicalLayer objects attached
   // to one image (tests do this), because the generation lives on disk.
   StatusOr<std::vector<FicusDirEntry>> LoadDirEntries(FileId dir);
+  // LoadDirEntries without the copy: the cached parse itself, valid until
+  // the directory cache next changes (any directory load or store).
+  StatusOr<const std::vector<FicusDirEntry>*> CachedDirEntries(FileId dir);
   Status StoreDirEntries(FileId dir, const std::vector<FicusDirEntry>& entries);
-  void CacheDir(FileId dir, uint64_t generation, const std::vector<FicusDirEntry>& entries);
+  const std::vector<FicusDirEntry>* CacheDir(FileId dir, uint64_t generation,
+                                             std::vector<FicusDirEntry> entries);
 
   // True when the locally stored directory has at least one live entry
   // (false also when we do not store it / cannot read it).
@@ -428,33 +450,73 @@ class PhysicalLayer : public PhysicalApi {
   static constexpr size_t kMaxCachedDigests = 64;
 
   // --- Merkle subtree digest tree (digest-guided reconciliation) ---
-  // One memoized node per directory. The tree is maintained by
-  // invalidation: every attribute store and directory store erases the
-  // affected node and walks digest_parents_ to the root erasing ancestors;
-  // GetSubtreeDigests recomputes missing nodes lazily (child-first, so an
-  // unchanged subtree is one map lookup). In-memory only — rebuilt after
-  // Attach — while the per-directory ENTRY digest is also persisted in
-  // the .dir header and validated on every full parse.
+  // One memoized node per directory, built lazily by the first
+  // GetSubtreeDigests and then kept current per child. It holds one
+  // element per entry: the entry's own hash plus, for an alive
+  // non-directory entry, the content stamp of the file it names. An
+  // attribute store rewrites that file's stamp in each memoized parent; a
+  // directory store re-derives the entry parts, keeping the stamps of
+  // entries that still name the same file. Both mark the node and every
+  // ancestor stale, and a stale node is refreshed from its elements (the
+  // sums, the bucket split and the subtree fold over cached child
+  // digests), loading only stamps it could not keep. In-memory only —
+  // rebuilt after Attach — while the per-directory ENTRY digest is also
+  // persisted in the .dir header and validated on every full parse.
+  struct DigestElement {
+    FileId file;
+    uint32_t name_hash = 0;    // UfsNameHash of the raw name: picks the bucket
+    bool dir_like = false;     // a subtree to fold in, when stored here
+    bool stamped = false;      // alive non-directory entry: carries a stamp
+    bool stamp_known = false;  // `stamp` is current; else refresh reloads it
+    uint64_t entry = 0;        // ContentHash of the serialized entry
+    uint64_t stamp = 0;
+
+    // What the element adds to its bucket.
+    uint64_t digest() const { return entry + (stamped ? stamp : 0); }
+  };
   struct DigestNode {
-    VersionVector vv;           // dir's own vv at compute time
-    uint64_t entry_digest = 0;
-    uint64_t files_digest = 0;
+    VersionVector vv;  // the directory's own version vector
+    std::vector<DigestElement> elements;  // one per entry, in entry order
+    // The fields below are derived from the ones above and are current
+    // only while the node is not stale.
+    bool stale = true;
+    uint64_t entry_digest = 0;  // sum of the entry parts
+    uint64_t files_digest = 0;  // sum of the stamps
     uint64_t subtree_digest = 0;
+    std::vector<uint64_t> buckets;  // element digests per bucket (BucketCountFor)
     std::vector<std::pair<FileId, uint64_t>> children;
   };
-  // Computes (or fetches from `memo`) the digest node for `dir`.
-  // `visiting` breaks DAG sharing/cycles: a revisit contributes a fixed
-  // marker instead of recursing. Pass &digest_tree_ for the incremental
-  // path or a scratch map for the from-scratch oracle recompute.
-  StatusOr<DigestNode> ComputeDigestNode(FileId dir, std::set<FileId>& visiting,
-                                         std::map<FileId, DigestNode>& memo);
-  // Erases the digest nodes of `file` (if a directory) and every ancestor
-  // reachable through digest_parents_. Absence of a node is not a stop
-  // condition — an ancestor may be cached while the child is not.
-  void InvalidateDigestUp(FileId file);
+  // The bucket count a directory of `entries` names splits into.
+  static size_t BucketCountFor(size_t entries);
+  // Elements for `entries` with entry hashes `hashes`; a stamp carries
+  // over from `old` where the element at the same position named the same
+  // file, and is unknown elsewhere.
+  static std::vector<DigestElement> DigestElements(const std::vector<FicusDirEntry>& entries,
+                                                   const std::vector<uint64_t>& hashes,
+                                                   const std::vector<DigestElement>& old);
+  // The node for `dir` in `memo`, built from scratch when absent and
+  // refreshed when stale. `visiting` breaks DAG sharing/cycles: a revisit
+  // contributes a fixed marker instead of recursing. Pass &digest_tree_
+  // for the incremental path or a scratch map for the from-scratch oracle
+  // recompute. The pointer is valid until `memo` next loses an element.
+  StatusOr<DigestNode*> ComputeDigestNode(FileId dir, std::set<FileId>& visiting,
+                                          std::map<FileId, DigestNode>& memo);
+  // Keeps the tree current after `file`'s attributes became `attrs`: its
+  // stamp in every memoized parent and, for a directory, its own node's
+  // version vector. Loads nothing.
+  void NoteAttributes(FileId file, const ReplicaAttributes& attrs);
+  // For when `file`'s attributes may change or have changed without a
+  // known result (a failed store or install, a shadow install under way,
+  // a collected file): its stamps are reloaded at the next refresh and
+  // its own node, if any, is rebuilt.
+  void ForgetDigestStamp(FileId file);
+  // Marks the nodes of `file` (if a directory) and every ancestor
+  // reachable through digest_parents_ stale. Absence of a node is not a
+  // stop condition — an ancestor may be memoized while the child is not.
+  void MarkDigestStale(FileId file);
   // Records that `dir` holds an entry for `child` (reverse links for
-  // invalidation). Entries are never physically removed, so links only
-  // grow until GarbageCollect drops the child.
+  // upkeep). Entries are never physically removed, so links only grow
+  // until GarbageCollect drops the child.
   void LinkDigestParent(FileId child, FileId dir);
 
   std::map<FileId, DigestNode> digest_tree_;
@@ -482,6 +544,9 @@ class PhysicalLayer : public PhysicalApi {
     // Registry-only (`repl.physical.digest.blocks_hashed`): data blocks
     // this layer ran ContentHash over, on every path that hashes.
     Counter* digest_blocks_hashed;
+    // Registry-only (`repl.physical.attr_loads`): attribute records read
+    // from storage.
+    Counter* attr_loads;
   };
 
   MetricRegistry owned_registry_;

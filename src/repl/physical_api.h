@@ -96,6 +96,17 @@ struct SubtreeDigest {
   std::vector<std::pair<FileId, uint64_t>> children;
 };
 
+// Response of GetBucketDelta: the part of one directory that a peer whose
+// bucket digests differ needs to reconcile it.
+struct BucketDelta {
+  VersionVector vv;                    // the directory's own version vector
+  std::vector<uint32_t> buckets;       // ids of the differing buckets, ascending
+  std::vector<FicusDirEntry> entries;  // raw entries in them, tombstones included
+  // One row per regular file or symlink those entries name, in entry
+  // order; kNotFound when this replica does not store the file.
+  std::vector<FileAttrResult> attrs;
+};
+
 // One row of a ReadDirPlus scan: a presented, alive directory entry
 // together with the child's replication attributes and (for regular
 // files and symlinks) its data size. `attrs`/`size` are meaningful only
@@ -133,6 +144,19 @@ class PhysicalApi {
   // back in request order.
   virtual StatusOr<std::vector<SubtreeDigest>> GetSubtreeDigests(
       const std::vector<FileId>& dirs) = 0;
+  // One round trip per mismatched directory of a digest-guided walk.
+  // `bucket_digests` is the caller's split of `dir` into
+  // bucket_digests.size() buckets, a power of two, by the name hash of
+  // each entry; the response names the buckets whose digests here differ
+  // and carries their entries and attribute rows. A replica that cannot
+  // answer returns kNotSupported, which downgrades the caller's whole run
+  // to the full walk.
+  virtual StatusOr<BucketDelta> GetBucketDelta(FileId dir,
+                                               const std::vector<uint64_t>& bucket_digests) {
+    (void)dir;
+    (void)bucket_digests;
+    return NotSupportedError("GetBucketDelta");
+  }
 
   // --- regular file data ---
   virtual StatusOr<std::vector<uint8_t>> ReadData(FileId file, uint64_t offset,

@@ -58,6 +58,13 @@ Status Reconciler::ReconcileDirectoryInner(FileId dir, PhysicalApi* remote,
   CountRemoteCall();
   FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> remote_entries,
                          remote->ReadDirectory(dir));
+  return ReplayEntries(dir, remote, local_attrs.vv, remote_attrs.vv, remote_entries, visiting);
+}
+
+Status Reconciler::ReplayEntries(FileId dir, PhysicalApi* remote, const VersionVector& local_vv,
+                                 const VersionVector& remote_vv,
+                                 const std::vector<FicusDirEntry>& remote_entries,
+                                 std::set<FileId>& visiting) {
   uint64_t repairs_before = local_->stats().insert_delete_conflicts;
   uint64_t collisions_before = local_->stats().name_conflicts_resolved;
   uint64_t removes_before = local_->stats().remove_update_conflicts;
@@ -73,7 +80,7 @@ Status Reconciler::ReconcileDirectoryInner(FileId dir, PhysicalApi* remote,
   // One load/store for the whole batch: a directory's reconciliation is
   // one logical step, not |entries| rewrites.
   FICUS_RETURN_IF_ERROR(local_->ApplyEntries(dir, remote_entries));
-  FICUS_RETURN_IF_ERROR(local_->MergeDirVersion(dir, remote_attrs.vv));
+  FICUS_RETURN_IF_ERROR(local_->MergeDirVersion(dir, remote_vv));
   ++stats_.directories_reconciled;
 
   if (log_ != nullptr) {
@@ -84,8 +91,8 @@ Status Reconciler::ReconcileDirectoryInner(FileId dir, PhysicalApi* remote,
       record.id = GlobalFileId{local_->volume_id(), dir};
       record.local_replica = local_->replica_id();
       record.remote_replica = remote->replica_id();
-      record.local_vv = local_attrs.vv;
-      record.remote_vv = remote_attrs.vv;
+      record.local_vv = local_vv;
+      record.remote_vv = remote_vv;
       record.detected_at = Now();
       record.detail = "concurrent insert/delete repaired in favour of liveness";
       log_->Report(std::move(record));
@@ -118,6 +125,7 @@ Status Reconciler::ReconcileDirectoryInner(FileId dir, PhysicalApi* remote,
 
 Status Reconciler::ReconcileFile(FileId file, PhysicalApi* remote) {
   CountRemoteCall();
+  ++stats_.files_swept;
   auto remote_attrs = remote->GetAttributes(file);
   if (!remote_attrs.ok()) {
     if (remote_attrs.status().code() == ErrorCode::kNotFound) {
@@ -225,36 +233,81 @@ Status Reconciler::ReconcileSubtreeFullWalk(FileId root, PhysicalApi* remote) {
   return OkStatus();
 }
 
-Status Reconciler::SweepDirectoryFiles(FileId dir, PhysicalApi* remote) {
-  FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> entries, local_->ReadDirectory(dir));
-  std::set<FileId> unique;
-  std::vector<FileId> files;
-  for (const auto& entry : entries) {
-    if (entry.alive && !IsDirectoryLike(entry.type) &&
-        (entry.type == FicusFileType::kRegular ||
-         entry.type == FicusFileType::kSymlink) &&
-        local_->Stores(entry.file) && unique.insert(entry.file).second) {
-      files.push_back(entry.file);
+StatusOr<std::vector<FileId>> Reconciler::ReconcileBuckets(FileId dir, PhysicalApi* remote,
+                                                           bool replay) {
+  FICUS_ASSIGN_OR_RETURN(std::vector<uint64_t> local_buckets, local_->BucketDigests(dir));
+  CountRemoteCall();
+  auto delta_or = remote->GetBucketDelta(dir, local_buckets);
+  if (!delta_or.ok()) {
+    if (delta_or.status().code() == ErrorCode::kNotFound) {
+      // The remote no longer stores this directory.
+      FICUS_ASSIGN_OR_RETURN(PhysicalLayer::BucketScan scan, local_->ScanBuckets(dir, {false}));
+      return scan.subdirs;
+    }
+    return delta_or.status();  // kNotSupported → caller falls back
+  }
+  const BucketDelta& delta = delta_or.value();
+  const size_t bucket_count = local_buckets.size();
+  std::vector<bool> differs(bucket_count, false);
+  for (uint32_t b : delta.buckets) {
+    if (b >= bucket_count) {
+      return CorruptError("GetBucketDelta named a bucket out of range");
+    }
+    differs[b] = true;
+  }
+  if (replay) {
+    // Per-directory fallback to the entry-replay protocol, over the
+    // differing buckets alone: an equal bucket holds the same entries on
+    // both sides, whose replay would change nothing.
+    ++stats_.digest_fallback;
+    cells_.fallback->Increment();
+    FICUS_ASSIGN_OR_RETURN(ReplicaAttributes local_attrs, local_->GetAttributes(dir));
+    if (!local_attrs.vv.Dominates(delta.vv)) {
+      std::set<FileId> visiting{dir};
+      FICUS_RETURN_IF_ERROR(
+          ReplayEntries(dir, remote, local_attrs.vv, delta.vv, delta.entries, visiting));
     }
   }
-  if (files.empty()) {
-    return OkStatus();
+  // Every alive, locally stored file the differing buckets name here, in
+  // entry order. An equal bucket's files carry equal stamps on both sides,
+  // so resolving them would change nothing either.
+  FICUS_ASSIGN_OR_RETURN(PhysicalLayer::BucketScan scan, local_->ScanBuckets(dir, differs));
+  std::map<FileId, const FileAttrResult*> rows;
+  for (const FileAttrResult& row : delta.attrs) {
+    rows.emplace(row.file, &row);
   }
-  // One RPC covers every file of the directory; per-file divergence is
-  // resolved from the returned rows without further attribute fetches.
-  CountRemoteCall();
-  FICUS_ASSIGN_OR_RETURN(std::vector<FileAttrResult> rows,
-                         remote->BatchGetAttributes(files));
-  for (const auto& row : rows) {
-    if (!row.status.ok()) {
-      if (row.status.code() == ErrorCode::kNotFound) {
+  stats_.files_swept += delta.attrs.size();
+  std::vector<FileId> unasked;
+  for (FileId file : scan.files) {
+    if (rows.count(file) == 0) {
+      unasked.push_back(file);
+    }
+  }
+  // A name the remote has no entry for may still name a file it stores
+  // under another name: one batched fetch covers those.
+  std::vector<FileAttrResult> extra;
+  if (!unasked.empty()) {
+    CountRemoteCall();
+    FICUS_ASSIGN_OR_RETURN(extra, remote->BatchGetAttributes(unasked));
+    stats_.files_swept += extra.size();
+    for (const FileAttrResult& row : extra) {
+      rows.emplace(row.file, &row);
+    }
+  }
+  for (FileId file : scan.files) {
+    auto row = rows.find(file);
+    if (row == rows.end()) {
+      return CorruptError("BatchGetAttributes dropped a row");
+    }
+    if (!row->second->status.ok()) {
+      if (row->second->status.code() == ErrorCode::kNotFound) {
         continue;  // remote does not store this file — legal
       }
-      return row.status;
+      return row->second->status;
     }
-    FICUS_RETURN_IF_ERROR(ReconcileFileWithAttrs(row.file, remote, row.attrs));
+    FICUS_RETURN_IF_ERROR(ReconcileFileWithAttrs(file, remote, row->second->attrs));
   }
-  return OkStatus();
+  return scan.subdirs;
 }
 
 Status Reconciler::ReconcileSubtreeDigest(FileId root, PhysicalApi* remote) {
@@ -262,7 +315,8 @@ Status Reconciler::ReconcileSubtreeDigest(FileId root, PhysicalApi* remote) {
   // level covers every directory still in play. Equal subtree digests
   // prune whole subtrees (the vv fold makes MergeDirVersion a no-op and
   // the files digest covers content pulls, so pruning loses nothing);
-  // a mismatch is triaged into entry replay, file sweep, and descent.
+  // a mismatch is narrowed to its differing buckets for entry replay and
+  // file sweep, then triaged for descent.
   std::set<FileId> seen{root};
   std::vector<FileId> frontier{root};
   while (!frontier.empty()) {
@@ -308,14 +362,12 @@ Status Reconciler::ReconcileSubtreeDigest(FileId root, PhysicalApi* remote) {
                          !(local_row.vv == remote_row.vv);
       bool files_differ =
           !local_row.status.ok() || local_row.files_digest != remote_row.files_digest;
-      if (dir_differs) {
-        // Per-directory fallback to the existing entry-replay protocol.
-        ++stats_.digest_fallback;
-        cells_.fallback->Increment();
-        FICUS_RETURN_IF_ERROR(ReconcileDirectory(dir, remote));
-      }
+      std::vector<FileId> subdirs;  // stored here, after any replay
       if (files_differ || dir_differs) {
-        FICUS_RETURN_IF_ERROR(SweepDirectoryFiles(dir, remote));
+        FICUS_ASSIGN_OR_RETURN(subdirs, ReconcileBuckets(dir, remote, dir_differs));
+      } else {
+        FICUS_ASSIGN_OR_RETURN(PhysicalLayer::BucketScan scan, local_->ScanBuckets(dir, {false}));
+        subdirs = std::move(scan.subdirs);
       }
       // Descend. After an entry replay the local child set may have
       // grown, and anything below may differ — visit every stored
@@ -326,16 +378,13 @@ Status Reconciler::ReconcileSubtreeDigest(FileId root, PhysicalApi* remote) {
                                                  remote_row.children.end());
       std::map<FileId, uint64_t> local_children(local_row.children.begin(),
                                                 local_row.children.end());
-      FICUS_ASSIGN_OR_RETURN(std::vector<FicusDirEntry> entries,
-                             local_->ReadDirectory(dir));
-      for (const auto& entry : entries) {
-        if (!IsDirectoryLike(entry.type) || !local_->Stores(entry.file) ||
-            seen.count(entry.file) != 0) {
+      for (FileId child : subdirs) {
+        if (seen.count(child) != 0) {
           continue;
         }
         if (!dir_differs) {
-          auto lc = local_children.find(entry.file);
-          auto rc = remote_children.find(entry.file);
+          auto lc = local_children.find(child);
+          auto rc = remote_children.find(child);
           if (lc != local_children.end() && rc != remote_children.end() &&
               lc->second == rc->second) {
             ++stats_.digest_match;
@@ -345,8 +394,8 @@ Status Reconciler::ReconcileSubtreeDigest(FileId root, PhysicalApi* remote) {
             continue;  // child rollups agree — prune without visiting
           }
         }
-        seen.insert(entry.file);
-        next.push_back(entry.file);
+        seen.insert(child);
+        next.push_back(child);
       }
     }
     frontier = std::move(next);

@@ -31,7 +31,8 @@ struct ReconcileStats {
   uint64_t directories_reconciled = 0;
   uint64_t files_pulled = 0;           // strictly newer versions installed
   uint64_t files_in_conflict = 0;      // concurrent versions detected
-  uint64_t entries_examined = 0;
+  uint64_t entries_examined = 0;     // remote entries replayed
+  uint64_t files_swept = 0;          // remote attribute rows fetched for file resolution
   uint64_t subtree_runs = 0;
   // Digest-guided mode bookkeeping.
   uint64_t digest_match = 0;        // subtree digests agreed (subtree pruned)
@@ -94,8 +95,14 @@ class Reconciler {
   // `visiting` guards against cycles in the directory DAG.
   Status ReconcileDirectoryInner(FileId dir, PhysicalApi* remote,
                                  std::set<FileId>& visiting);
+  // Replays `remote_entries` into `dir`: the subdirectory-tombstone
+  // recursion, ApplyEntries, MergeDirVersion and the conflict log.
+  Status ReplayEntries(FileId dir, PhysicalApi* remote, const VersionVector& local_vv,
+                       const VersionVector& remote_vv,
+                       const std::vector<FicusDirEntry>& remote_entries,
+                       std::set<FileId>& visiting);
   // ReconcileFile with the remote attributes already in hand (the digest
-  // sweep fetches them batched, one RPC per directory).
+  // sweep fetches them with the bucket delta).
   Status ReconcileFileWithAttrs(FileId file, PhysicalApi* remote,
                                 const ReplicaAttributes& remote_attrs);
   // The original entry-replay walk over the whole local subtree.
@@ -104,9 +111,13 @@ class Reconciler {
   // equal subtrees. Returns kNotSupported untouched when the remote
   // predates the digest protocol (caller falls back to the full walk).
   Status ReconcileSubtreeDigest(FileId root, PhysicalApi* remote);
-  // Batched per-directory file sweep: one BatchGetAttributes for every
-  // alive, locally stored non-directory child, then per-file resolution.
-  Status SweepDirectoryFiles(FileId dir, PhysicalApi* remote);
+  // A mismatched directory in one GetBucketDelta round trip: replays the
+  // remote entries of the differing buckets (when `replay`, i.e. the entry
+  // sets or directory vectors differ) and resolves every alive, locally
+  // stored file those buckets name against the returned attribute rows.
+  // Returns the locally stored directory-like children after the replay,
+  // in entry order, for the descent.
+  StatusOr<std::vector<FileId>> ReconcileBuckets(FileId dir, PhysicalApi* remote, bool replay);
   void CountRemoteCall();
 
   PhysicalLayer* local_;

@@ -17,78 +17,13 @@ using storage::kBlockSize;
 
 uint32_t DivRoundUp(uint32_t a, uint32_t b) { return (a + b - 1) / b; }
 
-Status SerializeInode(const Inode& inode, uint8_t* out) {
-  if (inode.ext.size() > kMaxInodeExt) {
-    return NoSpaceError("inode extension area overflow");
-  }
-  std::vector<uint8_t> buf;
-  buf.reserve(kInodeSize);
-  ByteWriter w(buf);
-  w.PutU8(static_cast<uint8_t>(inode.type));
-  w.PutU32(inode.mode);
-  w.PutU32(inode.uid);
-  w.PutU32(inode.gid);
-  w.PutU32(inode.nlink);
-  w.PutU64(inode.size);
-  w.PutU64(inode.mtime);
-  w.PutU64(inode.ctime);
-  for (uint32_t d : inode.direct) {
-    w.PutU32(d);
-  }
-  w.PutU32(inode.indirect);
-  w.PutU32(inode.double_indirect);
-  w.PutU16(static_cast<uint16_t>(inode.ext.size()));
-  buf.insert(buf.end(), inode.ext.begin(), inode.ext.end());
-  buf.resize(kInodeSize, 0);
-  std::memcpy(out, buf.data(), kInodeSize);
-  return OkStatus();
-}
-
-Status DeserializeInode(const uint8_t* in, Inode& inode) {
-  std::vector<uint8_t> buf(in, in + kInodeSize);
-  ByteReader r(buf);
-  FICUS_ASSIGN_OR_RETURN(uint8_t type, r.GetU8());
-  if (type > static_cast<uint8_t>(FileType::kSymlink)) {
-    return CorruptError("bad inode type");
-  }
-  inode.type = static_cast<FileType>(type);
-  FICUS_ASSIGN_OR_RETURN(inode.mode, r.GetU32());
-  FICUS_ASSIGN_OR_RETURN(inode.uid, r.GetU32());
-  FICUS_ASSIGN_OR_RETURN(inode.gid, r.GetU32());
-  FICUS_ASSIGN_OR_RETURN(inode.nlink, r.GetU32());
-  FICUS_ASSIGN_OR_RETURN(inode.size, r.GetU64());
-  FICUS_ASSIGN_OR_RETURN(inode.mtime, r.GetU64());
-  FICUS_ASSIGN_OR_RETURN(inode.ctime, r.GetU64());
-  for (uint32_t& d : inode.direct) {
-    FICUS_ASSIGN_OR_RETURN(d, r.GetU32());
-  }
-  FICUS_ASSIGN_OR_RETURN(inode.indirect, r.GetU32());
-  FICUS_ASSIGN_OR_RETURN(inode.double_indirect, r.GetU32());
-  FICUS_ASSIGN_OR_RETURN(uint16_t ext_len, r.GetU16());
-  if (ext_len > kMaxInodeExt) {
-    return CorruptError("inode extension length out of range");
-  }
-  inode.ext.clear();
-  if (ext_len > 0) {
-    for (uint16_t i = 0; i < ext_len; ++i) {
-      FICUS_ASSIGN_OR_RETURN(uint8_t b, r.GetU8());
-      inode.ext.push_back(b);
-    }
-  }
-  return OkStatus();
-}
-
-// Directory slots (format in ufs.h): the header slot leads with magic,
-// bucket count and slot size; a bucket slot holds a u16 used length, then
-// records of u32 ino | u8 type | u16 name_len | name. Little-endian.
-constexpr size_t kDirHeaderBytes = 12;
-constexpr size_t kDirRecordHeader = 7;
-
 uint16_t LoadU16(const uint8_t* p) { return static_cast<uint16_t>(p[0] | p[1] << 8); }
 
 uint32_t LoadU32(const uint8_t* p) {
   return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24;
 }
+
+uint64_t LoadU64(const uint8_t* p) { return LoadU32(p) | uint64_t{LoadU32(p + 4)} << 32; }
 
 void StoreU16(uint8_t* p, uint16_t v) {
   p[0] = static_cast<uint8_t>(v);
@@ -101,11 +36,79 @@ void StoreU32(uint8_t* p, uint32_t v) {
   }
 }
 
-bool IsPowerOfTwo(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
-uint32_t BucketFor(std::string_view name, size_t buckets) {
-  return UfsNameHash(name) & static_cast<uint32_t>(buckets - 1);
+void StoreU64(uint8_t* p, uint64_t v) {
+  StoreU32(p, static_cast<uint32_t>(v));
+  StoreU32(p + 4, static_cast<uint32_t>(v >> 32));
 }
+
+// On-disk inode, little-endian at fixed offsets: u8 type | u32 mode | u32
+// uid | u32 gid | u32 nlink | u64 size | u64 mtime | u64 ctime | u32
+// direct[kDirectBlocks] | u32 indirect | u32 double_indirect | u16 ext
+// length | ext bytes, then zeros to kInodeSize.
+constexpr size_t kInodeDirectAt = 41;
+constexpr size_t kInodeIndirectAt = kInodeDirectAt + 4 * kDirectBlocks;
+constexpr size_t kInodeExtLenAt = kInodeIndirectAt + 8;
+constexpr size_t kInodeExtAt = kInodeExtLenAt + 2;
+static_assert(kInodeExtAt + kMaxInodeExt == kInodeSize);
+
+Status SerializeInode(const Inode& inode, uint8_t* out) {
+  if (inode.ext.size() > kMaxInodeExt) {
+    return NoSpaceError("inode extension area overflow");
+  }
+  out[0] = static_cast<uint8_t>(inode.type);
+  StoreU32(out + 1, inode.mode);
+  StoreU32(out + 5, inode.uid);
+  StoreU32(out + 9, inode.gid);
+  StoreU32(out + 13, inode.nlink);
+  StoreU64(out + 17, inode.size);
+  StoreU64(out + 25, inode.mtime);
+  StoreU64(out + 33, inode.ctime);
+  for (uint32_t i = 0; i < kDirectBlocks; ++i) {
+    StoreU32(out + kInodeDirectAt + 4 * i, inode.direct[i]);
+  }
+  StoreU32(out + kInodeIndirectAt, inode.indirect);
+  StoreU32(out + kInodeIndirectAt + 4, inode.double_indirect);
+  StoreU16(out + kInodeExtLenAt, static_cast<uint16_t>(inode.ext.size()));
+  if (!inode.ext.empty()) {
+    std::memcpy(out + kInodeExtAt, inode.ext.data(), inode.ext.size());
+  }
+  std::memset(out + kInodeExtAt + inode.ext.size(), 0,
+              kInodeSize - kInodeExtAt - inode.ext.size());
+  return OkStatus();
+}
+
+Status DeserializeInode(const uint8_t* in, Inode& inode) {
+  if (in[0] > static_cast<uint8_t>(FileType::kSymlink)) {
+    return CorruptError("bad inode type");
+  }
+  const uint16_t ext_len = LoadU16(in + kInodeExtLenAt);
+  if (ext_len > kMaxInodeExt) {
+    return CorruptError("inode extension length out of range");
+  }
+  inode.type = static_cast<FileType>(in[0]);
+  inode.mode = LoadU32(in + 1);
+  inode.uid = LoadU32(in + 5);
+  inode.gid = LoadU32(in + 9);
+  inode.nlink = LoadU32(in + 13);
+  inode.size = LoadU64(in + 17);
+  inode.mtime = LoadU64(in + 25);
+  inode.ctime = LoadU64(in + 33);
+  for (uint32_t i = 0; i < kDirectBlocks; ++i) {
+    inode.direct[i] = LoadU32(in + kInodeDirectAt + 4 * i);
+  }
+  inode.indirect = LoadU32(in + kInodeIndirectAt);
+  inode.double_indirect = LoadU32(in + kInodeIndirectAt + 4);
+  inode.ext.assign(in + kInodeExtAt, in + kInodeExtAt + ext_len);
+  return OkStatus();
+}
+
+// Directory slots (format in ufs.h): the header slot leads with magic,
+// bucket count and slot size; a bucket slot holds a u16 used length, then
+// records of u32 ino | u8 type | u16 name_len | name. Little-endian.
+constexpr size_t kDirHeaderBytes = 12;
+constexpr size_t kDirRecordHeader = 7;
+
+bool IsPowerOfTwo(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
 // Bytes one bucket takes in its slot.
 size_t SlotUsed(const std::vector<UfsDirEntry>& bucket) {
@@ -186,9 +189,9 @@ Status ParseSlot(const uint8_t* slot, uint32_t slot_bytes, uint32_t b, uint32_t 
     e.type = static_cast<FileType>(type);
     e.name.assign(reinterpret_cast<const char*>(slot + pos), len);
     pos += len;
-    if (BucketFor(e.name, buckets) != b) {
+    if (UfsBucketOf(e.name, buckets) != b) {
       return corrupt("entry '" + e.name + "' hashes to bucket " +
-                     std::to_string(BucketFor(e.name, buckets)));
+                     std::to_string(UfsBucketOf(e.name, buckets)));
     }
     for (const UfsDirEntry& other : out) {
       if (other.name == e.name) {
@@ -223,6 +226,10 @@ uint32_t UfsNameHash(std::string_view name) {
     h *= 16777619u;
   }
   return h;
+}
+
+uint32_t UfsBucketOf(std::string_view name, size_t bucket_count) {
+  return UfsNameHash(name) & static_cast<uint32_t>(bucket_count - 1);
 }
 
 Ufs::Ufs(storage::BufferCache* cache, const Clock* clock) : cache_(cache), clock_(clock) {}
@@ -418,7 +425,9 @@ StatusOr<InodeNum> Ufs::AllocInode(FileType type, uint32_t mode, uint32_t uid, u
   FICUS_RETURN_IF_ERROR(CheckMounted());
   FICUS_ASSIGN_OR_RETURN(uint32_t ino, BitmapFindFree(sb_.inode_bitmap_start, sb_.inode_count,
                                                       inode_alloc_hint_));
-  FICUS_RETURN_IF_ERROR(BitmapSet(sb_.inode_bitmap_start, ino, true));
+  // The initialized inode lands before its bitmap bit, so a crash between
+  // the two leaves a free inode holding a stale image (fsck ignores free
+  // inodes), never an allocated one whose type says free.
   Inode inode;
   inode.type = type;
   inode.mode = mode;
@@ -430,6 +439,7 @@ StatusOr<InodeNum> Ufs::AllocInode(FileType type, uint32_t mode, uint32_t uid, u
   inode.mtime = Now();
   inode.ctime = inode.mtime;
   FICUS_RETURN_IF_ERROR(WriteInode(ino, inode));
+  FICUS_RETURN_IF_ERROR(BitmapSet(sb_.inode_bitmap_start, ino, true));
   --free_inodes_;
   return ino;
 }
@@ -647,7 +657,8 @@ StatusOr<size_t> Ufs::WriteAt(InodeNum ino, uint64_t offset, const std::vector<u
   return data.size();
 }
 
-Status Ufs::WriteData(InodeNum ino, uint64_t offset, const std::vector<uint8_t>& data) {
+Status Ufs::WriteData(InodeNum ino, uint64_t offset, const std::vector<uint8_t>& data,
+                      uint32_t links) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_ASSIGN_OR_RETURN(Inode inode, ReadInode(ino));
   if (offset + data.size() > kMaxFileSize) {
@@ -678,6 +689,7 @@ Status Ufs::WriteData(InodeNum ino, uint64_t offset, const std::vector<uint8_t>&
   // The inode always changes (mtime), so MapBlock's dirty flag is moot.
   inode.size = std::max<uint64_t>(inode.size, offset + data.size());
   inode.mtime = Now();
+  inode.nlink += links;
   return WriteInode(ino, inode);
 }
 
@@ -1072,7 +1084,7 @@ StatusOr<bool> Ufs::RecoverJournal() {
 // --- Directories ---
 
 uint32_t Ufs::CachedDir::BucketOf(std::string_view name) const {
-  return BucketFor(name, buckets.size());
+  return UfsBucketOf(name, buckets.size());
 }
 
 UfsDirEntry* Ufs::CachedDir::Find(std::string_view name) {
@@ -1133,7 +1145,7 @@ StatusOr<Ufs::CachedDir> Ufs::LayOut(std::vector<UfsDirEntry> entries, uint32_t 
   auto fits = [&]() {
     std::vector<size_t> used(buckets, 2);
     for (const UfsDirEntry& e : entries) {
-      size_t& slot = used[BucketFor(e.name, buckets)];
+      size_t& slot = used[UfsBucketOf(e.name, buckets)];
       slot += kDirRecordHeader + e.name.size();
       if (slot > slot_bytes) {
         return false;
@@ -1196,7 +1208,8 @@ void Ufs::SyncDirIndexEpoch() {
   }
 }
 
-Status Ufs::WriteDirSlots(InodeNum dir, const CachedDir& d, std::vector<uint32_t> buckets) {
+Status Ufs::WriteDirSlots(InodeNum dir, const CachedDir& d, std::vector<uint32_t> buckets,
+                          uint32_t links) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   std::sort(buckets.begin(), buckets.end());
   auto offset = [&](uint32_t b) { return (uint64_t{b} + 1) * d.slot_bytes; };
@@ -1220,6 +1233,7 @@ Status Ufs::WriteDirSlots(InodeNum dir, const CachedDir& d, std::vector<uint32_t
       FICUS_RETURN_IF_ERROR(cache_->Write(device_block, block));
     }
     inode.mtime = Now();
+    inode.nlink += links;
     return WriteInode(dir, inode);
   }();
   if (!wrote.ok()) {
@@ -1228,7 +1242,7 @@ Status Ufs::WriteDirSlots(InodeNum dir, const CachedDir& d, std::vector<uint32_t
   return wrote;
 }
 
-Status Ufs::WriteDirImage(InodeNum dir, const CachedDir& d) {
+Status Ufs::WriteDirImage(InodeNum dir, const CachedDir& d, uint32_t links) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   const uint32_t slot_bytes = d.slot_bytes;
   std::vector<uint8_t> image((d.buckets.size() + 1) * size_t{slot_bytes});
@@ -1244,7 +1258,7 @@ Status Ufs::WriteDirImage(InodeNum dir, const CachedDir& d) {
   if (need > have && need - have > free_blocks_) {
     return NoSpaceError("no room to re-lay out the directory");
   }
-  return WriteData(dir, 0, image);
+  return WriteData(dir, 0, image, links);
 }
 
 Status Ufs::ShrinkDir(InodeNum dir, CachedDir& d, uint32_t touched) {
@@ -1272,7 +1286,8 @@ Status Ufs::ShrinkDir(InodeNum dir, CachedDir& d, uint32_t touched) {
   return OkStatus();
 }
 
-Status Ufs::AddDirEntries(InodeNum dir, CachedDir& d, std::vector<UfsDirEntry> added) {
+Status Ufs::AddDirEntries(InodeNum dir, CachedDir& d, std::vector<UfsDirEntry> added,
+                          uint32_t links) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (!d.buckets.empty()) {
     std::vector<uint32_t> touched;
@@ -1283,7 +1298,7 @@ Status Ufs::AddDirEntries(InodeNum dir, CachedDir& d, std::vector<UfsDirEntry> a
     if (std::all_of(touched.begin(), touched.end(),
                     [&](uint32_t b) { return SlotUsed(d.buckets[b]) <= d.slot_bytes; })) {
       d.entries += touched.size();
-      return WriteDirSlots(dir, d, std::move(touched));
+      return WriteDirSlots(dir, d, std::move(touched), links);
     }
     added.clear();
     for (std::vector<UfsDirEntry>& bucket : d.buckets) {
@@ -1298,7 +1313,7 @@ Status Ufs::AddDirEntries(InodeNum dir, CachedDir& d, std::vector<UfsDirEntry> a
                                                 kUfsDirMaxBuckets);
   auto laid =
       LayOut(std::move(added), buckets, std::max(d.slot_bytes, kUfsDirMinSlotBytes));
-  Status wrote = laid.ok() ? WriteDirImage(dir, *laid) : laid.status();
+  Status wrote = laid.ok() ? WriteDirImage(dir, *laid, links) : laid.status();
   if (!wrote.ok()) {
     dir_index_.erase(dir);  // the index must not claim what the disk may lack
     return wrote;
@@ -1339,7 +1354,7 @@ StatusOr<InodeNum> Ufs::DirHashLookup(InodeNum dir, const Inode& inode,
   uint32_t slot_bytes = 0;
   FICUS_RETURN_IF_ERROR(
       ParseDirHeader(bytes.data(), bytes.size(), inode.size, buckets, slot_bytes));
-  const uint32_t b = BucketFor(name, buckets);
+  const uint32_t b = UfsBucketOf(name, buckets);
   FICUS_RETURN_IF_ERROR(ReadAt(dir, (uint64_t{b} + 1) * slot_bytes, slot_bytes, bytes).status());
   std::vector<UfsDirEntry> bucket;
   FICUS_RETURN_IF_ERROR(ParseSlot(bytes.data(), slot_bytes, b, buckets, bucket));
@@ -1355,7 +1370,7 @@ Status Ufs::DirAdd(InodeNum dir, std::string_view name, InodeNum ino, FileType t
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_ASSIGN_OR_RETURN(CachedDir* d, DirIndex(dir));
   FICUS_RETURN_IF_ERROR(d->CheckNewNames({std::string(name)}));
-  return AddDirEntries(dir, *d, {UfsDirEntry{std::string(name), ino, type}});
+  return AddDirEntries(dir, *d, {UfsDirEntry{std::string(name), ino, type}}, 0);
 }
 
 Status Ufs::DirRemove(InodeNum dir, std::string_view name) {
@@ -1436,16 +1451,13 @@ StatusOr<std::vector<InodeNum>> Ufs::CreateFiles(InodeNum dir,
     added.push_back(UfsDirEntry{name, *ino, type});
     created.push_back(*ino);
   }
-  Status wrote = AddDirEntries(dir, *d, std::move(added));
+  // Each new directory's implicit ".." is one more link to the parent,
+  // raised in the edit's own write of the parent inode.
+  const uint32_t links = type == FileType::kDirectory ? static_cast<uint32_t>(created.size()) : 0;
+  Status wrote = AddDirEntries(dir, *d, std::move(added), links);
   if (!wrote.ok()) {
     undo();
     return wrote;
-  }
-  if (type == FileType::kDirectory && !created.empty()) {
-    // Each new directory's implicit ".." is one more link to the parent.
-    FICUS_ASSIGN_OR_RETURN(Inode parent, ReadInode(dir));
-    parent.nlink += static_cast<uint32_t>(created.size());
-    FICUS_RETURN_IF_ERROR(WriteInode(dir, parent));
   }
   return created;
 }
@@ -1676,10 +1688,24 @@ StatusOr<uint32_t> Ufs::ReclaimOrphans() {
       continue;
     }
     FICUS_ASSIGN_OR_RETURN(Inode inode, ReadInode(ino));
-    if (inode.type != FileType::kRegular && inode.type != FileType::kSymlink) {
-      continue;
+    if (inode.type == FileType::kFree) {
+      // A bit set without its inode (FreeInode crashed between the two):
+      // nothing to free but the bit.
+      FICUS_RETURN_IF_ERROR(BitmapSet(sb_.inode_bitmap_start, ino, false));
+      inode_alloc_hint_ = std::min(inode_alloc_hint_, ino);
+      ++free_inodes_;
+    } else if (inode.type == FileType::kDirectory) {
+      // A directory whose create crashed before its name was bound, or
+      // whose unlink crashed before its inode was freed. One that still
+      // holds entries is left alone: freeing it would orphan them.
+      FICUS_ASSIGN_OR_RETURN(bool empty, DirIsEmpty(ino));
+      if (!empty) {
+        continue;
+      }
+      FICUS_RETURN_IF_ERROR(FreeInode(ino));
+    } else {
+      FICUS_RETURN_IF_ERROR(FreeInode(ino));
     }
-    FICUS_RETURN_IF_ERROR(FreeInode(ino));
     ++reclaimed;
   }
   return reclaimed;

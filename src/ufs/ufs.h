@@ -133,6 +133,10 @@ constexpr uint32_t kUfsDirMaxBuckets = 1u << 20;
 
 // FNV-1a over the component name; bucket = hash & (bucket_count - 1).
 uint32_t UfsNameHash(std::string_view name);
+// The bucket of `name` among `bucket_count` (a power of two): how UFS
+// directory slots group names, and how the Ficus digest tree splits a
+// directory for reconciliation.
+uint32_t UfsBucketOf(std::string_view name, size_t bucket_count);
 
 struct SuperBlock {
   uint32_t magic = kUfsMagic;
@@ -291,11 +295,14 @@ class Ufs {
   // problems (empty = ok).
   StatusOr<std::vector<std::string>> Check();
 
-  // fsck-style repair for the one kind of debris a crash can legally
-  // leave: an allocated regular-file/symlink inode no directory entry
-  // references (e.g. a superseded replica whose directory repoint
-  // committed but whose FreeInode never ran). Frees them and returns how
-  // many were reclaimed. Directories are never reclaimed here.
+  // fsck-style repair for the debris a crash can legally leave: an
+  // allocated inode no directory entry references — a regular file or
+  // symlink (e.g. a superseded replica whose directory repoint committed
+  // but whose FreeInode never ran), or a directory holding no entries (a
+  // create that crashed before binding its name) — and an inode bitmap
+  // bit set over an inode whose type is free. Frees them and returns how
+  // many were reclaimed. A directory that holds entries is never
+  // reclaimed here.
   StatusOr<uint32_t> ReclaimOrphans();
 
  private:
@@ -330,8 +337,10 @@ class Ufs {
   StatusOr<uint32_t> ReadPointer(uint32_t block, uint32_t index);
 
   // WriteAt without dropping the parsed directory: the directory code's
-  // own writes keep its index current instead.
-  Status WriteData(InodeNum ino, uint64_t offset, const std::vector<uint8_t>& data);
+  // own writes keep its index current instead. `links` is added to the
+  // inode's nlink in the same inode write.
+  Status WriteData(InodeNum ino, uint64_t offset, const std::vector<uint8_t>& data,
+                   uint32_t links = 0);
 
   // --- parsed-directory index ---
   // Per directory inode, the image's layout and its entries grouped by
@@ -366,16 +375,20 @@ class Ufs {
   static StatusOr<CachedDir> LayOut(std::vector<UfsDirEntry> entries, uint32_t buckets,
                                     uint32_t slot_bytes);
   // Binds `added` (names already checked) into `dir`: in place when every
-  // record fits its slot, else through one re-layout.
-  Status AddDirEntries(InodeNum dir, CachedDir& d, std::vector<UfsDirEntry> added);
+  // record fits its slot, else through one re-layout. Either way the
+  // directory inode is written once, with `links` added to its nlink (the
+  // ".." of each new subdirectory).
+  Status AddDirEntries(InodeNum dir, CachedDir& d, std::vector<UfsDirEntry> added,
+                       uint32_t links);
   // Re-encodes the slots of `buckets` in place, each touched block
-  // written once, then the inode's mtime.
-  Status WriteDirSlots(InodeNum dir, const CachedDir& d, std::vector<uint32_t> buckets);
+  // written once, then the inode's mtime, and `links` more nlink.
+  Status WriteDirSlots(InodeNum dir, const CachedDir& d, std::vector<uint32_t> buckets,
+                       uint32_t links = 0);
   // Writes `d` as dir's whole image, in place over the old one; a longer
   // old image keeps its tail until the caller truncates it. Fails with
   // kNoSpace, writing nothing, when the free blocks cannot hold the
-  // growth.
-  Status WriteDirImage(InodeNum dir, const CachedDir& d);
+  // growth. The inode write adds `links` to its nlink.
+  Status WriteDirImage(InodeNum dir, const CachedDir& d, uint32_t links = 0);
   // Writes out a DirRemove from bucket `touched` of `d`, which now holds
   // under a quarter of the names its layout was chosen for: re-lays the
   // directory out at the size its names need and frees the tail blocks,

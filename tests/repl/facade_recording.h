@@ -82,9 +82,11 @@ class RecordingVnode : public vfs::Vnode {
 };
 
 // Calls every PhysOp at least once through `proxy`: per-row errors in
-// BatchGetAttributes and GetSubtreeDigests, whole-call errors, requests
-// and responses large enough for a session and for two read chunks, and
-// the single-trip GetSubtreeDigests. Call under ASSERT_NO_FATAL_FAILURE.
+// BatchGetAttributes, GetSubtreeDigests and GetBucketDelta, whole-call
+// errors, requests and responses large enough for a session and for two
+// read chunks, and the single-trip digest exchanges. Opcodes added later
+// are called after the earlier ones, so an older capture stays a prefix of
+// the current one. Call under ASSERT_NO_FATAL_FAILURE.
 inline void RunEveryOpScenario(RemotePhysical& proxy) {
   const FileId missing{9, 9};
   ASSERT_TRUE(proxy.Connect().ok());
@@ -169,6 +171,16 @@ inline void RunEveryOpScenario(RemotePhysical& proxy) {
   EXPECT_TRUE((*digests)[0].status.ok());
   EXPECT_FALSE((*digests)[0].children.empty());
   EXPECT_EQ((*digests)[2].status.code(), ErrorCode::kNotFound);
+
+  // One bucket whose digest cannot match: every root entry comes back,
+  // tombstones included, with a kNotFound row for the unstored "gone".
+  auto delta = proxy.GetBucketDelta(kRootFileId, {0});
+  ASSERT_TRUE(delta.ok());
+  EXPECT_EQ(delta->buckets, std::vector<uint32_t>{0});
+  EXPECT_EQ(delta->entries.size(), 7u);  // d, l, hard, g, remote, remote2, gone
+  ASSERT_EQ(delta->attrs.size(), 5u);    // l, the file, remote, remote2, gone
+  EXPECT_EQ(delta->attrs.back().status.code(), ErrorCode::kNotFound);
+  EXPECT_EQ(proxy.GetBucketDelta(missing, {0}).status().code(), ErrorCode::kNotFound);
 }
 
 }  // namespace ficus::repl

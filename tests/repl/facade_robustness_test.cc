@@ -25,7 +25,7 @@ class FacadeRobustnessTest : public ::testing::Test {
     ASSERT_TRUE(root.ok());
     RemotePhysical proxy(std::make_shared<RecordingVnode>(root.value(), &recording_));
     ASSERT_NO_FATAL_FAILURE(RunEveryOpScenario(proxy));
-    ASSERT_EQ(recording_.requests.size(), 34u);
+    ASSERT_EQ(recording_.requests.size(), 36u);
   }
 
   // Executes raw request bytes and returns the response's leading status.
@@ -78,7 +78,7 @@ TEST_F(FacadeRobustnessTest, EveryStrictPrefixIsRefusedWithoutADeviceWrite) {
 
 TEST_F(FacadeRobustnessTest, UnknownOpcodesAreRefused) {
   EXPECT_EQ(Send({}).code(), ErrorCode::kCorrupt);
-  for (uint8_t op : {0, 26, 127, 255}) {
+  for (uint8_t op : {0, 27, 127, 255}) {
     EXPECT_EQ(Send({op}).code(), ErrorCode::kInvalidArgument) << static_cast<int>(op);
     EXPECT_EQ(Send({op, 0x01, 0x02, 0x03}).code(), ErrorCode::kInvalidArgument);
   }
@@ -89,7 +89,7 @@ TEST_F(FacadeRobustnessTest, RandomGarbageBehindEachOpcodeIsRefused) {
   Rng rng(SeedFromEnvOr(20261017, "facade_robustness.random_garbage"));
   const uint64_t writes_before = device_.stats().writes;
   for (int op = static_cast<int>(PhysOp::kGetVolumeInfo);
-       op <= static_cast<int>(PhysOp::kGetSubtreeDigests); ++op) {
+       op <= static_cast<int>(PhysOp::kGetBucketDelta); ++op) {
     // kGetVolumeInfo takes no arguments and NoteClose accepts any file id,
     // so garbage that decodes is an honest request to them; they must
     // still neither crash nor write.

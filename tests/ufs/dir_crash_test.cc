@@ -13,7 +13,9 @@
 // anywhere inside CreateFile, the mounted counts must equal what the
 // bitmaps say, and so must the counts journal recovery takes on a disk
 // that is not remounted (a simulated reboot) after a crash dropped the
-// bitmap writes of counted frees.
+// bitmap writes of counted frees. A crash anywhere inside CreateFile of a
+// file or a directory leaves only debris ReclaimOrphans clears, and a
+// directory create costs the same writes as a file create.
 #include <map>
 #include <string>
 #include <tuple>
@@ -177,6 +179,54 @@ TEST(FreeCountCrashTest, MountedCountsEqualTheBitmapsAfterACrashAtEveryWrite) {
               ClearBits(disk.device, sb.inode_bitmap_start, sb.inode_count));
     EXPECT_EQ(remounted.FreeBlockCount().value(),
               ClearBits(disk.device, sb.block_bitmap_start, sb.block_count));
+  }
+}
+
+// A one-name create binds its name in one slot write plus one write of the
+// parent inode, which for a new directory also carries the parent's raised
+// nlink: a directory costs the same device writes as a file.
+TEST(CreateWritesTest, DirectoryCreateWritesAsMuchAsFileCreate) {
+  uint64_t writes[2] = {0, 0};
+  const FileType types[2] = {FileType::kRegular, FileType::kDirectory};
+  for (int i = 0; i < 2; ++i) {
+    Disk disk(20);
+    const uint32_t parent_links = disk.ufs.ReadInode(disk.dir)->nlink;
+    const uint64_t start = disk.device.stats().writes;
+    ASSERT_TRUE(disk.ufs.CreateFile(disk.dir, "created", types[i], 0755, 0, 0).ok());
+    writes[i] = disk.device.stats().writes - start;
+    EXPECT_EQ(disk.ufs.ReadInode(disk.dir)->nlink, parent_links + (i == 1 ? 1 : 0));
+  }
+  EXPECT_EQ(writes[1], writes[0]);
+  EXPECT_LE(writes[0], 4u);  // inode, bitmap, slot block, parent inode
+}
+
+// Whatever a crash inside CreateFile leaves, remount plus ReclaimOrphans
+// (what Attach runs) must leave an image fsck finds nothing wrong with.
+TEST(CreateCrashTest, ReclaimOrphansLeavesACleanImageAfterACrashAtEveryWrite) {
+  for (FileType type : {FileType::kRegular, FileType::kDirectory}) {
+    uint64_t writes = 0;
+    {
+      Disk disk(20);
+      const uint64_t start = disk.device.stats().writes;
+      ASSERT_TRUE(disk.ufs.CreateFile(disk.dir, "created", type, 0755, 0, 0).ok());
+      writes = disk.device.stats().writes - start;
+    }
+    for (uint64_t k = 0; k <= writes; ++k) {
+      SCOPED_TRACE(std::string(type == FileType::kDirectory ? "directory" : "file") +
+                   ", crash after " + std::to_string(k) + " of " + std::to_string(writes) +
+                   " writes");
+      Disk disk(20);
+      disk.device.CrashAfterWrites(k);
+      (void)disk.ufs.CreateFile(disk.dir, "created", type, 0755, 0, 0);
+      disk.device.ClearCrash();
+      disk.cache.Invalidate();
+      Ufs remounted(&disk.cache, &disk.clock);
+      ASSERT_TRUE(remounted.Mount().ok());
+      ASSERT_TRUE(remounted.ReclaimOrphans().ok());
+      auto problems = remounted.Check();
+      ASSERT_TRUE(problems.ok());
+      EXPECT_TRUE(problems->empty()) << problems->front();
+    }
   }
 }
 

@@ -400,6 +400,94 @@ TEST_F(UfsTest, CheckDetectsNlinkMismatch) {
   EXPECT_FALSE(problems->empty());
 }
 
+// The on-disk inode, pinned byte for byte in both directions: WriteInode
+// must produce exactly this image and ReadInode must decode it back.
+TEST_F(UfsTest, InodeImageIsPinnedByteForByte) {
+  Inode inode;
+  inode.type = FileType::kSymlink;
+  inode.mode = 0x01020304;
+  inode.uid = 0x05060708;
+  inode.gid = 0x090A0B0C;
+  inode.nlink = 0x0D0E0F10;
+  inode.size = 0x1112131415161718ULL;
+  inode.mtime = 0x191A1B1C1D1E1F20ULL;
+  inode.ctime = 0x2122232425262728ULL;
+  for (uint32_t i = 0; i < kDirectBlocks; ++i) {
+    inode.direct[i] = 0x30000000u + i;
+  }
+  inode.indirect = 0x40414243;
+  inode.double_indirect = 0x44454647;
+  inode.ext = {0xE0, 0xE1, 0xE2};
+
+  std::vector<uint8_t> image = {
+      0x03,                                            // type
+      0x04, 0x03, 0x02, 0x01,                          // mode
+      0x08, 0x07, 0x06, 0x05,                          // uid
+      0x0C, 0x0B, 0x0A, 0x09,                          // gid
+      0x10, 0x0F, 0x0E, 0x0D,                          // nlink
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,  // size
+      0x20, 0x1F, 0x1E, 0x1D, 0x1C, 0x1B, 0x1A, 0x19,  // mtime
+      0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21,  // ctime
+  };
+  for (uint8_t i = 0; i < kDirectBlocks; ++i) {
+    image.insert(image.end(), {i, 0x00, 0x00, 0x30});  // direct[i]
+  }
+  image.insert(image.end(), {0x43, 0x42, 0x41, 0x40});  // indirect
+  image.insert(image.end(), {0x47, 0x46, 0x45, 0x44});  // double_indirect
+  image.insert(image.end(), {0x03, 0x00});              // ext length
+  image.insert(image.end(), {0xE0, 0xE1, 0xE2});        // ext
+  ASSERT_EQ(image.size(), 102u);
+  image.resize(kInodeSize, 0);
+
+  const InodeNum ino = 7;
+  const storage::BlockNum block = ufs_.superblock().inode_table_start + ino / kInodesPerBlock;
+  const size_t at = (ino % kInodesPerBlock) * kInodeSize;
+  ASSERT_TRUE(ufs_.WriteInode(ino, inode).ok());
+  std::vector<uint8_t> raw;
+  ASSERT_TRUE(device_.Read(block, raw).ok());
+  EXPECT_EQ(std::vector<uint8_t>(raw.begin() + at, raw.begin() + at + kInodeSize), image);
+
+  // Decode: the same image, written under the cache, reads back field by
+  // field; a bad type or an extension length past kMaxInodeExt is corrupt.
+  auto put = [&](const std::vector<uint8_t>& bytes) {
+    std::copy(bytes.begin(), bytes.end(), raw.begin() + at);
+    ASSERT_TRUE(device_.Write(block, raw).ok());
+    cache_.Invalidate();
+  };
+  ASSERT_TRUE(ufs_.WriteInode(ino, Inode{}).ok());
+  ASSERT_TRUE(device_.Read(block, raw).ok());
+  put(image);
+  auto decoded = ufs_.ReadInode(ino);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->type, inode.type);
+  EXPECT_EQ(decoded->mode, inode.mode);
+  EXPECT_EQ(decoded->uid, inode.uid);
+  EXPECT_EQ(decoded->gid, inode.gid);
+  EXPECT_EQ(decoded->nlink, inode.nlink);
+  EXPECT_EQ(decoded->size, inode.size);
+  EXPECT_EQ(decoded->mtime, inode.mtime);
+  EXPECT_EQ(decoded->ctime, inode.ctime);
+  EXPECT_TRUE(std::equal(std::begin(decoded->direct), std::end(decoded->direct),
+                         std::begin(inode.direct)));
+  EXPECT_EQ(decoded->indirect, inode.indirect);
+  EXPECT_EQ(decoded->double_indirect, inode.double_indirect);
+  EXPECT_EQ(decoded->ext, inode.ext);
+
+  std::vector<uint8_t> bad_type = image;
+  bad_type[0] = 4;
+  put(bad_type);
+  EXPECT_EQ(ufs_.ReadInode(ino).status().code(), ErrorCode::kCorrupt);
+  std::vector<uint8_t> long_ext = image;
+  long_ext[97] = static_cast<uint8_t>(kMaxInodeExt + 1);
+  put(long_ext);
+  EXPECT_EQ(ufs_.ReadInode(ino).status().code(), ErrorCode::kCorrupt);
+  long_ext[97] = static_cast<uint8_t>(kMaxInodeExt);
+  put(long_ext);
+  auto full = ufs_.ReadInode(ino);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full->ext.size(), kMaxInodeExt);
+}
+
 TEST_F(UfsTest, SurvivesCacheInvalidation) {
   auto ino = ufs_.CreateFile(kRootInode, "persist", FileType::kRegular, 0644, 0, 0);
   ASSERT_TRUE(ino.ok());
