@@ -3,6 +3,12 @@
 #include <utility>
 
 namespace ficus {
+namespace {
+
+// Bounded queue depth for every pool a threaded runtime creates.
+constexpr size_t kPoolQueueCapacity = 64;
+
+}  // namespace
 
 ThreadPoolExecutor::ThreadPoolExecutor(int threads, size_t queue_capacity)
     : capacity_(queue_capacity == 0 ? 1 : queue_capacity) {
@@ -89,7 +95,7 @@ std::unique_ptr<Executor> Runtime::NewExecutor(int threads) const {
   if (threads <= 0) {
     threads = 1;
   }
-  return std::make_unique<ThreadPoolExecutor>(threads, options_.queue_capacity);
+  return std::make_unique<ThreadPoolExecutor>(threads, kPoolQueueCapacity);
 }
 
 }  // namespace ficus

@@ -95,8 +95,6 @@ struct RuntimeOptions {
   RuntimeMode mode = RuntimeMode::kDeterministic;
   // Threads in each NFS server's service pool (threaded mode only).
   int nfs_service_threads = 4;
-  // Bounded queue depth for every pool created by this runtime.
-  size_t queue_capacity = 64;
   // When true (threaded mode only), an arriving update-notification
   // datagram kicks the destination replica's propagation worker
   // immediately instead of waiting for the next scheduled pass. Off by

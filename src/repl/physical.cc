@@ -212,13 +212,11 @@ PhysicalLayer::PhysicalLayer(ufs::Ufs* ufs, const Clock* clock, PhysicalOptions 
   stats_.remove_update_conflicts = registry_->counter("repl.physical.remove_update_conflicts");
   stats_.notifications_noted = registry_->counter("repl.physical.notifications_noted");
   stats_.shadows_recovered = registry_->counter("repl.physical.shadows_recovered");
-  stats_.orphans_reclaimed = registry_->counter("repl.physical.orphans_reclaimed");
   stats_.dir_cache_hits = registry_->counter("repl.physical.dir_cache.hits");
   stats_.dir_cache_misses = registry_->counter("repl.physical.dir_cache.misses");
   stats_.crdt_rename_merges = registry_->counter("repl.physical.crdt_rename_merges");
   stats_.commit_delta = registry_->counter("repl.phys.commit.delta");
   stats_.commit_shadow = registry_->counter("repl.phys.commit.shadow");
-  stats_.journal_replays = registry_->counter("repl.phys.commit.journal_replays");
   stats_.commit_bytes_written = registry_->counter("repl.phys.commit.bytes_written");
   stats_.digest_blocks_hashed = registry_->counter("repl.physical.digest.blocks_hashed");
   stats_.attr_loads = registry_->counter("repl.physical.attr_loads");
@@ -236,13 +234,11 @@ PhysicalStats PhysicalLayer::stats() const {
   out.remove_update_conflicts = stats_.remove_update_conflicts->value();
   out.notifications_noted = stats_.notifications_noted->value();
   out.shadows_recovered = stats_.shadows_recovered->value();
-  out.orphans_reclaimed = stats_.orphans_reclaimed->value();
   out.dir_cache_hits = stats_.dir_cache_hits->value();
   out.dir_cache_misses = stats_.dir_cache_misses->value();
   out.crdt_rename_merges = stats_.crdt_rename_merges->value();
   out.commit_delta = stats_.commit_delta->value();
   out.commit_shadow = stats_.commit_shadow->value();
-  out.journal_replays = stats_.journal_replays->value();
   out.commit_bytes_written = stats_.commit_bytes_written->value();
   return out;
 }
@@ -317,10 +313,11 @@ Status PhysicalLayer::Attach(std::string_view container_name) {
   FICUS_RETURN_IF_ERROR(GetVolumeId(r, volume_));
   FICUS_ASSIGN_OR_RETURN(replica_, r.GetU32());
   FICUS_ASSIGN_OR_RETURN(next_unique_, r.GetU32());
-  if (!r.AtEnd()) {
-    FICUS_ASSIGN_OR_RETURN(uint8_t placement, r.GetU8());
-    options_.attr_placement = static_cast<AttrPlacement>(placement);
+  FICUS_ASSIGN_OR_RETURN(uint8_t placement, r.GetU8());
+  if (placement > static_cast<uint8_t>(AttrPlacement::kInode)) {
+    return CorruptError("bad volume.meta attribute placement " + std::to_string(placement));
   }
+  options_.attr_placement = static_cast<AttrPlacement>(placement);
   attached_ = true;
   locations_.clear();
   alive_refs_.clear();
@@ -331,19 +328,10 @@ Status PhysicalLayer::Attach(std::string_view container_name) {
   FICUS_ASSIGN_OR_RETURN(ufs::InodeNum root_dir,
                          ufs_->DirLookup(container_, kRootFileId.ToHex()));
   locations_[kRootFileId] = Location{container_, root_dir, FicusFileType::kDirectory};
-  // Journal recovery first: a sealed block-remap commit must be replayed
-  // before anything walks the tree it was mid-swing on. (Ufs::Mount also
-  // recovers, but simulated reboots re-attach without remounting.)
-  FICUS_ASSIGN_OR_RETURN(bool replayed, ufs_->RecoverJournal());
-  if (replayed) {
-    stats_.journal_replays->Increment();
-  }
+  // Ufs::Mount has already replayed the journal and freed what a crash
+  // left unreferenced (the superseded inode of a repoint whose FreeInode
+  // never ran); what remains is Ficus-level: stranded shadow names.
   FICUS_RETURN_IF_ERROR(RecoverShadows(root_dir));
-  // A crash after the repoint but before FreeInode strands the superseded
-  // inode with no directory reference; the shadow sweep cannot see it (the
-  // shadow name may already be gone), so reclaim at the UFS level.
-  FICUS_ASSIGN_OR_RETURN(uint32_t reclaimed, ufs_->ReclaimOrphans());
-  stats_.orphans_reclaimed->Add(reclaimed);
   return ScanTree(root_dir, kRootFileId);
 }
 
@@ -829,15 +817,6 @@ Status PhysicalLayer::TruncateData(FileId file, uint64_t size) {
                     [&](ufs::InodeNum ino) { return ufs_->Truncate(ino, size); });
 }
 
-Status PhysicalLayer::MaybeCrash(CommitCrashPoint point) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (options_.crash_point != nullptr && options_.crash_point(point)) {
-    return IoError("simulated crash at commit point " +
-                   std::to_string(static_cast<int>(point)));
-  }
-  return OkStatus();
-}
-
 StatusOr<bool> PhysicalLayer::TryDeltaCommit(FileId file, const Location& loc,
                                              const std::vector<uint8_t>& contents,
                                              const VersionVector& vv,
@@ -912,27 +891,12 @@ StatusOr<bool> PhysicalLayer::TryDeltaCommit(FileId file, const Location& loc,
     rb.image.resize(kDeltaBlockSize, 0);
     remap.push_back(std::move(rb));
   }
-  ufs::RemapCommitHook hook = [this](ufs::RemapCommitPoint point) -> Status {
-    switch (point) {
-      case ufs::RemapCommitPoint::kAfterDataWrite:
-        return MaybeCrash(CommitCrashPoint::kAfterDeltaDataWrite);
-      case ufs::RemapCommitPoint::kAfterJournalStage:
-        return MaybeCrash(CommitCrashPoint::kAfterJournalStage);
-      case ufs::RemapCommitPoint::kAfterJournalSeal:
-        return MaybeCrash(CommitCrashPoint::kAfterJournalSeal);
-      case ufs::RemapCommitPoint::kAfterJournalApply:
-        return MaybeCrash(CommitCrashPoint::kAfterJournalApply);
-      case ufs::RemapCommitPoint::kAfterJournalClear:
-        return MaybeCrash(CommitCrashPoint::kAfterJournalClear);
-    }
-    return OkStatus();
-  };
-  Status st = ufs_->RemapCommit(ino, remap, contents.size(), new_ext, hook);
+  Status st = ufs_->RemapCommit(ino, remap, contents.size(), new_ext);
   if (st.code() == ErrorCode::kNotSupported) {
     return false;  // hole / redo-set overflow: the shadow path always works
   }
-  // Anything else — including the simulated crash's I/O error, possibly
-  // fired after the commit point — invalidates our derived caches.
+  // Anything else — including an I/O error after the commit point —
+  // invalidates our derived caches.
   digest_cache_.erase(file);
   if (!st.ok()) {
     ForgetDigestStamp(file);
@@ -1006,9 +970,7 @@ Status PhysicalLayer::InstallVersion(FileId file, const std::vector<uint8_t>& co
   FICUS_ASSIGN_OR_RETURN(ufs::InodeNum shadow_ino,
                          ufs_->CreateFile(loc.parent_dir, shadow, ufs::FileType::kRegular,
                                           0644, 0, 0));
-  FICUS_RETURN_IF_ERROR(MaybeCrash(ShadowCrashPoint::kAfterShadowCreate));
   FICUS_RETURN_IF_ERROR(ufs_->WriteAll(shadow_ino, contents));
-  FICUS_RETURN_IF_ERROR(MaybeCrash(ShadowCrashPoint::kAfterShadowWrite));
   if (options_.attr_placement == AttrPlacement::kInode) {
     FICUS_ASSIGN_OR_RETURN(ReplicaAttributes attrs, LoadAttributes(file));
     attrs.vv = vv;
@@ -1032,21 +994,18 @@ Status PhysicalLayer::InstallVersion(FileId file, const std::vector<uint8_t>& co
       FICUS_RETURN_IF_ERROR(ufs_->WriteAll(aux.value(), bytes));
     }
   }
-  FICUS_RETURN_IF_ERROR(MaybeCrash(ShadowCrashPoint::kAfterAttrStage));
 
   // 2. The commit point: atomically swing the low-level directory
   //    reference from the original to the shadow (section 3.2). A crash
   //    before this line leaves the original replica intact.
   FICUS_ASSIGN_OR_RETURN(ufs::InodeNum old_ino, ufs_->DirLookup(loc.parent_dir, base));
   FICUS_RETURN_IF_ERROR(ufs_->DirRepoint(loc.parent_dir, base, shadow_ino));
-  FICUS_RETURN_IF_ERROR(MaybeCrash(ShadowCrashPoint::kAfterRepoint));
 
-  // 3. Tidy: drop the spare shadow name and the superseded inode. Attach()
-  //    redoes this if a crash interrupts it.
+  // 3. Tidy: drop the spare shadow name and the superseded inode. If a
+  //    crash interrupts it, Ufs::Mount frees the unreferenced inode and
+  //    Attach() drops the spare name.
   FICUS_RETURN_IF_ERROR(ufs_->DirRemove(loc.parent_dir, shadow));
-  FICUS_RETURN_IF_ERROR(MaybeCrash(ShadowCrashPoint::kAfterShadowUnlink));
   FICUS_RETURN_IF_ERROR(ufs_->FreeInode(old_ino));
-  FICUS_RETURN_IF_ERROR(MaybeCrash(ShadowCrashPoint::kAfterFreeInode));
 
   // 4. Record the new version vector. A crash between the swap and here
   //    leaves the replica claiming an older version than it holds; the
@@ -1272,7 +1231,6 @@ StatusOr<bool> PhysicalLayer::ApplyEntryToSet(FileId dir,
                                               std::vector<FicusDirEntry>& entries,
                                               const FicusDirEntry& remote) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  stats_.entries_applied->Increment();
   for (auto& local : entries) {
     if (local.name != remote.name || local.file != remote.file) {
       continue;
@@ -1408,7 +1366,10 @@ Status PhysicalLayer::ApplyEntries(FileId dir, const std::vector<FicusDirEntry>&
   bool any_changed = false;
   for (const FicusDirEntry& r : remote) {
     FICUS_ASSIGN_OR_RETURN(bool changed, ApplyEntryToSet(dir, entries, r));
-    any_changed = any_changed || changed;
+    if (changed) {
+      stats_.entries_applied->Increment();
+      any_changed = true;
+    }
   }
   if (!any_changed) {
     return OkStatus();
@@ -1766,8 +1727,10 @@ void PhysicalLayer::ForgetDigestStamp(FileId file) {
 }
 
 size_t PhysicalLayer::BucketCountFor(size_t entries) {
-  return std::bit_ceil(std::max<size_t>(
-      1, (entries + kNamesPerDigestBucket - 1) / kNamesPerDigestBucket));
+  // Capped at what GetBucketDelta accepts.
+  return std::min(kMaxDigestBuckets,
+                  std::bit_ceil(std::max<size_t>(1, (entries + kNamesPerDigestBucket - 1) /
+                                                        kNamesPerDigestBucket)));
 }
 
 std::vector<PhysicalLayer::DigestElement> PhysicalLayer::DigestElements(

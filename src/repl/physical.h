@@ -49,19 +49,17 @@ struct PhysicalStats {
   uint64_t opens_noted = 0;
   uint64_t closes_noted = 0;
   uint64_t installs = 0;              // shadow commits completed
-  uint64_t entries_applied = 0;       // reconciliation entries replayed
+  uint64_t entries_applied = 0;       // replayed entries that changed the entry set
   uint64_t name_conflicts_resolved = 0;
   uint64_t insert_delete_conflicts = 0;  // auto-repaired (liveness wins)
   uint64_t remove_update_conflicts = 0;  // delete raced an unseen update
   uint64_t notifications_noted = 0;
   uint64_t shadows_recovered = 0;     // stranded shadows cleaned at Attach
-  uint64_t orphans_reclaimed = 0;     // unreferenced inodes freed at Attach
   uint64_t dir_cache_hits = 0;        // parsed-directory cache generation matches
   uint64_t dir_cache_misses = 0;      // full read + reparse was needed
   uint64_t crdt_rename_merges = 0;    // remove-vs-update auto-merged: file alive elsewhere
   uint64_t commit_delta = 0;          // installs that took the block-remap path
   uint64_t commit_shadow = 0;         // installs that took the shadow-file path
-  uint64_t journal_replays = 0;       // sealed commits replayed at Attach
   uint64_t commit_bytes_written = 0;  // device bytes written by InstallVersion
 };
 
@@ -83,37 +81,8 @@ enum class AttrPlacement : uint8_t {
 // directories are always stored (directories carry the namespace).
 using StoragePolicy = std::function<bool(const FicusDirEntry& entry)>;
 
-// The write points of InstallVersion's two commit sequences, in order.
-// Used by the crash_point test hook to simulate a crash after each
-// durable step (the buffer cache is write-through, so "everything up to
-// the point, nothing after" is exactly what a real crash leaves on disk).
-// The first six cover the legacy shadow-file commit; the last five cover
-// the journal-backed block-remap (delta) commit.
-enum class CommitCrashPoint {
-  // Shadow-file path (commit point = kAfterRepoint):
-  kAfterShadowCreate,  // shadow inode exists, still empty
-  kAfterShadowWrite,   // new contents staged in the shadow
-  kAfterAttrStage,     // inode-resident/spilled attributes staged
-  kAfterRepoint,       // commit point passed: the name now maps to the shadow inode
-  kAfterShadowUnlink,  // spare shadow name removed
-  kAfterFreeInode,     // superseded inode freed; version vector not yet updated
-  // Block-remap path (commit point = kAfterJournalSeal):
-  kAfterDeltaDataWrite,  // new block images written into still-free blocks
-  kAfterJournalStage,    // redo records staged, intent record unsealed
-  kAfterJournalSeal,     // commit point passed: intent record sealed
-  kAfterJournalApply,    // home metadata blocks rewritten
-  kAfterJournalClear,    // intent retired; delta commit fully complete
-};
-// Historic name, kept for the shadow-specific call sites and tests.
-using ShadowCrashPoint = CommitCrashPoint;
-
 struct PhysicalOptions {
   AttrPlacement attr_placement = AttrPlacement::kAuxFile;
-  // Test-only fault hook: called at each write point of either commit
-  // path; returning true aborts the install with an I/O error, leaving
-  // the on-disk image exactly as a crash at that point would. Null (the
-  // default) never fires.
-  std::function<bool(CommitCrashPoint)> crash_point;
   // Delta-commit gates, mirroring the propagation daemon's delta-fetch
   // gates: InstallVersion only attempts the block-remap commit for files
   // at least this large whose dirty fraction is at most this much;
@@ -150,7 +119,8 @@ class PhysicalLayer : public PhysicalApi {
   Status CreateVolume(const VolumeId& volume, ReplicaId replica,
                       std::string_view container_name, bool first_replica);
 
-  // Mounts an existing volume replica: reads volume.meta, sweeps stranded
+  // Mounts an existing volume replica on a mounted UFS (whose Mount has
+  // already recovered the UFS itself): reads volume.meta, sweeps stranded
   // shadow files (crash recovery), and builds the in-memory file-id
   // location map.
   Status Attach(std::string_view container_name);
@@ -297,16 +267,12 @@ class PhysicalLayer : public PhysicalApi {
 
   SimTime Now() const { return clock_ != nullptr ? clock_->Now() : 0; }
   Status CheckAttached() const;
-  // Fires the options_.crash_point hook: an I/O error when the hook elects
-  // to crash the commit at `point`, OkStatus otherwise.
-  Status MaybeCrash(CommitCrashPoint point) const;
 
   // Attempts the journal-backed block-remap commit for InstallVersion.
   // Returns true when the install completed on the delta path, false when
   // the caller should fall back to the shadow-file commit (gates unmet,
-  // no journal, attribute spill, ...). Errors — including the simulated
-  // crash hook's I/O error — propagate without fallback: after a mid-
-  // commit crash the image must be left exactly as the crash left it.
+  // no journal, attribute spill, ...). Errors propagate without fallback:
+  // after a failed write the image must be left as the failure left it.
   // `digests` are the incoming contents' block digests (InstallVersion's
   // contract); the dirty set is their diff against this layer's own.
   StatusOr<bool> TryDeltaCommit(FileId file, const Location& loc,
@@ -533,13 +499,11 @@ class PhysicalLayer : public PhysicalApi {
     Counter* remove_update_conflicts;
     Counter* notifications_noted;
     Counter* shadows_recovered;
-    Counter* orphans_reclaimed;
     Counter* dir_cache_hits;
     Counter* dir_cache_misses;
     Counter* crdt_rename_merges;
     Counter* commit_delta;
     Counter* commit_shadow;
-    Counter* journal_replays;
     Counter* commit_bytes_written;
     // Registry-only (`repl.physical.digest.blocks_hashed`): data blocks
     // this layer ran ContentHash over, on every path that hashes.

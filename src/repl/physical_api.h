@@ -148,9 +148,9 @@ class PhysicalApi {
   // `bucket_digests` is the caller's split of `dir` into
   // bucket_digests.size() buckets, a power of two, by the name hash of
   // each entry; the response names the buckets whose digests here differ
-  // and carries their entries and attribute rows. A replica that cannot
-  // answer returns kNotSupported, which downgrades the caller's whole run
-  // to the full walk.
+  // and carries their entries and attribute rows. Both replica
+  // implementations answer it; the default body only lets a wrapper that
+  // never forwards it build.
   virtual StatusOr<BucketDelta> GetBucketDelta(FileId dir,
                                                const std::vector<uint64_t>& bucket_digests) {
     (void)dir;

@@ -163,7 +163,7 @@ Status PropagationDaemon::RunOnce() {
         if (config_.retry_backoff_base != 0) {
           uint32_t exponent = state.attempts == 0 ? 0 : state.attempts - 1;
           state.next_attempt = Now() + BackoffDelay(config_.retry_backoff_base,
-                                                    config_.retry_backoff_cap, exponent);
+                                                    kRetryBackoffCap, exponent);
         }
         stats_.deferred_unreachable->Increment();
         local_->RestoreNewVersion(entry);
@@ -326,7 +326,7 @@ StatusOr<PropagationDaemon::Fetched> PropagationDaemon::TryDeltaFetch(FileId fil
     }
   }
   if (blocks != 0 &&
-      static_cast<double>(need_count) > config_.delta_max_diff * static_cast<double>(blocks)) {
+      static_cast<double>(need_count) > kDeltaMaxDiff * static_cast<double>(blocks)) {
     return InvalidArgumentError("delta would transfer most of the file");
   }
 

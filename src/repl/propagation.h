@@ -66,9 +66,8 @@ struct PropagationConfig {
   // When a pull fails because the source is unreachable or timed out, the
   // entry ages with capped exponential backoff instead of being retried on
   // every run: the k-th retry waits min(retry_backoff_base * 2^k,
-  // retry_backoff_cap). 0 keeps the legacy retry-every-run behaviour.
+  // kRetryBackoffCap). 0 keeps the legacy retry-every-run behaviour.
   SimTime retry_backoff_base = 0;
-  SimTime retry_backoff_cap = 30 * kSecond;
   // After this many failed pulls the entry is dropped — the periodic
   // reconciliation protocol is the safety net that still converges the
   // replica (section 3.3). 0 = never drop.
@@ -81,10 +80,14 @@ struct PropagationConfig {
   // Files smaller than this always go whole-file (the digest round trip
   // would cost more than it saves).
   uint64_t delta_min_bytes = 16 * 1024;
-  // Fall back to whole-file when more than this fraction of the remote's
-  // blocks differ from the local copy.
-  double delta_max_diff = 0.5;
 };
+
+// Longest wait between retries of a failed pull (PropagationConfig::
+// retry_backoff_base).
+inline constexpr SimTime kRetryBackoffCap = 30 * kSecond;
+// A delta pull falls back to whole-file when more than this fraction of
+// the remote's blocks differ from the local copy.
+inline constexpr double kDeltaMaxDiff = 0.5;
 
 class PropagationDaemon {
  public:

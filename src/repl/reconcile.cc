@@ -181,18 +181,8 @@ Status Reconciler::ReconcileSubtree(FileId root, ReplicaId remote_replica) {
   FICUS_ASSIGN_OR_RETURN(PhysicalApi * remote,
                          resolver_->Access(local_->volume_id(), remote_replica));
   ++stats_.subtree_runs;
-  if (options_.digest_guided) {
-    Status status = ReconcileSubtreeDigest(root, remote);
-    if (status.code() != ErrorCode::kNotSupported &&
-        status.code() != ErrorCode::kInvalidArgument) {
-      return status;
-    }
-    // The remote predates the digest protocol (rolling upgrade): the
-    // whole subtree falls back to the entry-replay walk.
-    ++stats_.digest_fallback;
-    cells_.fallback->Increment();
-  }
-  return ReconcileSubtreeFullWalk(root, remote);
+  return options_.digest_guided ? ReconcileSubtreeDigest(root, remote)
+                                : ReconcileSubtreeFullWalk(root, remote);
 }
 
 Status Reconciler::ReconcileSubtreeFullWalk(FileId root, PhysicalApi* remote) {
@@ -244,7 +234,7 @@ StatusOr<std::vector<FileId>> Reconciler::ReconcileBuckets(FileId dir, PhysicalA
       FICUS_ASSIGN_OR_RETURN(PhysicalLayer::BucketScan scan, local_->ScanBuckets(dir, {false}));
       return scan.subdirs;
     }
-    return delta_or.status();  // kNotSupported → caller falls back
+    return delta_or.status();
   }
   const BucketDelta& delta = delta_or.value();
   const size_t bucket_count = local_buckets.size();
@@ -256,8 +246,8 @@ StatusOr<std::vector<FileId>> Reconciler::ReconcileBuckets(FileId dir, PhysicalA
     differs[b] = true;
   }
   if (replay) {
-    // Per-directory fallback to the entry-replay protocol, over the
-    // differing buckets alone: an equal bucket holds the same entries on
+    // The entry-replay protocol over the differing buckets alone (counted
+    // as a digest fallback): an equal bucket holds the same entries on
     // both sides, whose replay would change nothing.
     ++stats_.digest_fallback;
     cells_.fallback->Increment();
@@ -323,7 +313,7 @@ Status Reconciler::ReconcileSubtreeDigest(FileId root, PhysicalApi* remote) {
     CountRemoteCall();
     auto remote_rows_or = remote->GetSubtreeDigests(frontier);
     if (!remote_rows_or.ok()) {
-      return remote_rows_or.status();  // kNotSupported → caller falls back
+      return remote_rows_or.status();
     }
     const std::vector<SubtreeDigest>& remote_rows = remote_rows_or.value();
     if (remote_rows.size() != frontier.size()) {

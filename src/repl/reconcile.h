@@ -38,8 +38,8 @@ struct ReconcileStats {
   uint64_t digest_match = 0;        // subtree digests agreed (subtree pruned)
   uint64_t digest_mismatch = 0;     // subtree digests differed (descended)
   uint64_t digest_pruned_dirs = 0;  // directories never visited thanks to a match
-  uint64_t digest_fallback = 0;     // entry-replay fallbacks (per differing dir,
-                                    // plus whole-subtree on an old remote)
+  uint64_t digest_fallback = 0;     // differing directories whose differing
+                                    // buckets' entries were replayed
   uint64_t remote_calls = 0;        // every RPC to the remote replica, both modes
   // Peers skipped by ReconcileWithAllReplicas because the failure
   // detector condemned them (`repl.recon.skipped_dead`).
@@ -108,8 +108,7 @@ class Reconciler {
   // The original entry-replay walk over the whole local subtree.
   Status ReconcileSubtreeFullWalk(FileId root, PhysicalApi* remote);
   // Digest-guided walk: level-by-level batched digest exchange, pruning
-  // equal subtrees. Returns kNotSupported untouched when the remote
-  // predates the digest protocol (caller falls back to the full walk).
+  // equal subtrees.
   Status ReconcileSubtreeDigest(FileId root, PhysicalApi* remote);
   // A mismatched directory in one GetBucketDelta round trip: replays the
   // remote entries of the differing buckets (when `replay`, i.e. the entry

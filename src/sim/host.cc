@@ -3,6 +3,15 @@
 #include "src/common/logging.h"
 
 namespace ficus::sim {
+namespace {
+
+// The NFS transports between hosts cache nothing: the paper (section 2.2)
+// complains that NFS's caches are "not fully controllable" and misbehave
+// under layers that cannot adopt their assumptions.
+constexpr SimTime kTransportAttrTtl = 0;
+constexpr SimTime kTransportDnlcTtl = 0;
+
+}  // namespace
 
 // --- ExportVfs: one vnode namespace multiplexing every exported facade ---
 
@@ -238,11 +247,12 @@ Status FicusHost::Reboot() {
   device_.ClearCrash();
   cache_.Invalidate();
   network_->SetHostUp(id_, true);
-  // Re-attach every local volume replica from the surviving disk image;
-  // the shadow-recovery sweep runs inside Attach(). The physical layer and
-  // everything holding it (facade, daemons, registry entry) are rebuilt —
-  // exactly what a kernel reboot does. Callers reach replicas through the
-  // resolver, which looks the fresh objects up per call.
+  // Remount the UFS from the surviving disk image (its Mount replays the
+  // journal and repairs the bitmaps), then re-attach every local volume
+  // replica; the shadow-recovery sweep runs inside Attach(). The physical
+  // layer and everything holding it (facade, daemons, registry entry) are
+  // rebuilt — exactly what a kernel reboot does. Callers reach replicas
+  // through the resolver, which looks the fresh objects up per call.
   {
     // Retire the old workers before their daemons go; joining must happen
     // without locals_mu_ held (a worker's in-flight pass may need it).
@@ -255,6 +265,7 @@ Status FicusHost::Reboot() {
     }
     retired.clear();
   }
+  FICUS_RETURN_IF_ERROR(ufs_.Mount());
   std::lock_guard<std::mutex> lock(locals_mu_);
   for (auto& [key, local] : locals_) {
     std::string container = "vol_" + HexEncode32(key.first.allocator) +
@@ -475,8 +486,8 @@ StatusOr<repl::PhysicalApi*> FicusHost::ConnectRemote(const repl::VolumeId& volu
     auto transport = transports_.find(host);
     if (transport == transports_.end()) {
       nfs::ClientConfig client_config;
-      client_config.attr_cache_ttl = config_.transport_attr_ttl;
-      client_config.dnlc_ttl = config_.transport_dnlc_ttl;
+      client_config.attr_cache_ttl = kTransportAttrTtl;
+      client_config.dnlc_ttl = kTransportDnlcTtl;
       client_config.retry = config_.transport_retry;
       auto client = std::make_unique<nfs::NfsClient>(network_, id_, host, clock_,
                                                      client_config, nfs::kNfsService,

@@ -44,12 +44,6 @@ struct HostConfig {
   uint32_t disk_blocks = 16 * 1024;   // 64 MiB
   uint32_t inode_count = 4 * 1024;
   uint32_t cache_blocks = 512;        // 2 MiB buffer cache
-  // NFS transport caches for inter-layer traffic are disabled by default:
-  // the paper (section 2.2) complains that NFS's caches are "not fully
-  // controllable" and misbehave under layers that cannot adopt their
-  // assumptions — the simulation gives the control knob real NFS lacked.
-  SimTime transport_attr_ttl = 0;
-  SimTime transport_dnlc_ttl = 0;
   // Retry/backoff policy for the inter-host NFS transports (engaged only
   // when a FaultPlan makes the network lose messages).
   nfs::RetryPolicy transport_retry;
@@ -121,9 +115,10 @@ class FicusHost : public repl::ReplicaResolver,
   // also take it off the network.
   void Crash();
   // Brings the host back: clears the crash flag, drops the page cache,
-  // re-attaches every local physical layer to the surviving disk image
-  // (running shadow recovery), and restarts the NFS server's handle
-  // table. Remote proxies recover via their ESTALE refreshers.
+  // remounts the UFS from the surviving disk image (journal replay and
+  // bitmap repair), re-attaches every local physical layer (running
+  // shadow recovery), and restarts the NFS server's handle table. Remote
+  // proxies recover via their ESTALE refreshers.
   Status Reboot();
 
   // --- daemons (explicit pumps; deterministic) ---

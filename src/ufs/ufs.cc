@@ -344,7 +344,18 @@ Status Ufs::Mount() {
     return CorruptError("superblock block count does not match device");
   }
   mounted_ = true;
-  return RecoverJournal().status();
+  inode_alloc_hint_ = 0;
+  block_alloc_hint_ = 0;
+  FICUS_RETURN_IF_ERROR(RecoverJournal());
+  FICUS_RETURN_IF_ERROR(ReclaimOrphans());
+  // The free counts live only in memory, and a crash drops the bitmap
+  // writes of the allocations and frees that counted: every mount takes
+  // them from the repaired bitmaps.
+  FICUS_ASSIGN_OR_RETURN(free_inodes_,
+                         BitmapCountFree(sb_.inode_bitmap_start, sb_.inode_count));
+  FICUS_ASSIGN_OR_RETURN(free_blocks_,
+                         BitmapCountFree(sb_.block_bitmap_start, sb_.block_count));
+  return OkStatus();
 }
 
 // --- Bitmaps ---
@@ -446,12 +457,15 @@ StatusOr<InodeNum> Ufs::AllocInode(FileType type, uint32_t mode, uint32_t uid, u
 
 Status Ufs::FreeInode(InodeNum ino) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_RETURN_IF_ERROR(CheckMounted());
-  FICUS_RETURN_IF_ERROR(Truncate(ino, 0));
-  Inode inode;
-  inode.type = FileType::kFree;
-  FICUS_RETURN_IF_ERROR(WriteInode(ino, inode));
+  FICUS_ASSIGN_OR_RETURN(Inode inode, ReadInode(ino));
+  // The blocks go first, then the one write of the victim inode (the free
+  // image), then its bitmap bit.
+  FICUS_RETURN_IF_ERROR(FreeBlocksPast(inode, 0));
+  Inode freed;
+  freed.type = FileType::kFree;
+  FICUS_RETURN_IF_ERROR(WriteInode(ino, freed));
   FICUS_RETURN_IF_ERROR(BitmapSet(sb_.inode_bitmap_start, ino, false));
+  dir_index_.erase(ino);
   inode_alloc_hint_ = std::min(inode_alloc_hint_, ino);
   ++free_inodes_;
   return OkStatus();
@@ -658,7 +672,7 @@ StatusOr<size_t> Ufs::WriteAt(InodeNum ino, uint64_t offset, const std::vector<u
 }
 
 Status Ufs::WriteData(InodeNum ino, uint64_t offset, const std::vector<uint8_t>& data,
-                      uint32_t links) {
+                      int32_t links) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_ASSIGN_OR_RETURN(Inode inode, ReadInode(ino));
   if (offset + data.size() > kMaxFileSize) {
@@ -699,8 +713,28 @@ Status Ufs::Truncate(InodeNum ino, uint64_t new_size) {
   if (new_size > kMaxFileSize) {
     return NoSpaceError("truncate exceeds maximum file size");
   }
-  uint64_t keep_blocks =
-      (std::min<uint64_t>(new_size, kMaxFileSize) + kBlockSize - 1) / kBlockSize;
+  FICUS_RETURN_IF_ERROR(FreeBlocksPast(inode, (new_size + kBlockSize - 1) / kBlockSize));
+  // Zero the tail of the final kept block so a later extension reads
+  // zeros, not stale bytes.
+  if (new_size % kBlockSize != 0) {
+    uint32_t last_block = static_cast<uint32_t>(new_size / kBlockSize);
+    bool dirty = false;
+    FICUS_ASSIGN_OR_RETURN(uint32_t device_block, MapBlock(inode, last_block, false, dirty));
+    if (device_block != 0) {
+      std::vector<uint8_t> data;
+      FICUS_RETURN_IF_ERROR(cache_->Read(device_block, data));
+      std::fill(data.begin() + static_cast<ptrdiff_t>(new_size % kBlockSize), data.end(), 0);
+      FICUS_RETURN_IF_ERROR(cache_->Write(device_block, data));
+    }
+  }
+  inode.size = new_size;
+  inode.mtime = Now();
+  dir_index_.erase(ino);
+  return WriteInode(ino, inode);
+}
+
+Status Ufs::FreeBlocksPast(Inode& inode, uint64_t keep_blocks) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   // Free direct blocks beyond the boundary.
   for (uint32_t i = keep_blocks; i < kDirectBlocks; ++i) {
     if (inode.direct[i] != 0) {
@@ -789,23 +823,7 @@ Status Ufs::Truncate(InodeNum ino, uint64_t new_size) {
       FICUS_RETURN_IF_ERROR(cache_->Write(inode.double_indirect, l1));
     }
   }
-  // Zero the tail of the final kept block so a later extension reads
-  // zeros, not stale bytes.
-  if (new_size % kBlockSize != 0) {
-    uint32_t last_block = static_cast<uint32_t>(new_size / kBlockSize);
-    bool dirty = false;
-    FICUS_ASSIGN_OR_RETURN(uint32_t device_block, MapBlock(inode, last_block, false, dirty));
-    if (device_block != 0) {
-      std::vector<uint8_t> data;
-      FICUS_RETURN_IF_ERROR(cache_->Read(device_block, data));
-      std::fill(data.begin() + static_cast<ptrdiff_t>(new_size % kBlockSize), data.end(), 0);
-      FICUS_RETURN_IF_ERROR(cache_->Write(device_block, data));
-    }
-  }
-  inode.size = new_size;
-  inode.mtime = Now();
-  dir_index_.erase(ino);
-  return WriteInode(ino, inode);
+  return OkStatus();
 }
 
 StatusOr<std::vector<uint8_t>> Ufs::ReadAll(InodeNum ino) {
@@ -863,8 +881,7 @@ StatusOr<std::vector<uint32_t>> Ufs::CollectFreeDataBlocks(size_t n) {
 }
 
 Status Ufs::RemapCommit(InodeNum ino, const std::vector<RemapBlock>& blocks,
-                        uint64_t new_size, const std::vector<uint8_t>* new_ext,
-                        const RemapCommitHook& hook) {
+                        uint64_t new_size, const std::vector<uint8_t>* new_ext) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_RETURN_IF_ERROR(CheckMounted());
   if (sb_.journal_blocks < 2) {
@@ -1019,15 +1036,11 @@ Status Ufs::RemapCommit(InodeNum ino, const std::vector<RemapBlock>& blocks,
   if (redo.size() > journal.capacity()) {
     return NotSupportedError("metadata redo set exceeds journal capacity");
   }
-  auto checkpoint = [&](RemapCommitPoint point) -> Status {
-    return hook != nullptr ? hook(point) : OkStatus();
-  };
 
   // 1. New data into still-free blocks.
   for (const Slot& s : slots) {
     FICUS_RETURN_IF_ERROR(cache_->Write(s.fresh_block, *s.image));
   }
-  FICUS_RETURN_IF_ERROR(checkpoint(RemapCommitPoint::kAfterDataWrite));
 
   // 2-5. Journal the metadata swing; sealing is the commit point.
   std::vector<storage::JournalRecord> records;
@@ -1036,13 +1049,9 @@ Status Ufs::RemapCommit(InodeNum ino, const std::vector<RemapBlock>& blocks,
     records.push_back({target, std::move(image)});
   }
   FICUS_RETURN_IF_ERROR(journal.Stage(records));
-  FICUS_RETURN_IF_ERROR(checkpoint(RemapCommitPoint::kAfterJournalStage));
   FICUS_RETURN_IF_ERROR(journal.Seal());
-  FICUS_RETURN_IF_ERROR(checkpoint(RemapCommitPoint::kAfterJournalSeal));
   FICUS_RETURN_IF_ERROR(journal.Apply());
-  FICUS_RETURN_IF_ERROR(checkpoint(RemapCommitPoint::kAfterJournalApply));
   FICUS_RETURN_IF_ERROR(journal.Clear());
-  FICUS_RETURN_IF_ERROR(checkpoint(RemapCommitPoint::kAfterJournalClear));
 
   // Post-commit maintenance: the superseded blocks are free now (the
   // applied bitmap says so); drop their cached copies and lower the rotor
@@ -1055,30 +1064,13 @@ Status Ufs::RemapCommit(InodeNum ino, const std::vector<RemapBlock>& blocks,
   return OkStatus();
 }
 
-StatusOr<bool> Ufs::RecoverJournal() {
+Status Ufs::RecoverJournal() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_RETURN_IF_ERROR(CheckMounted());
-  bool replayed = false;
-  if (sb_.journal_blocks >= 2) {
-    storage::BlockJournal journal(cache_, sb_.journal_start, sb_.journal_blocks);
-    FICUS_ASSIGN_OR_RETURN(storage::JournalRecoveryResult result, journal.Recover());
-    replayed = result.replayed;
+  if (sb_.journal_blocks < 2) {
+    return OkStatus();
   }
-  if (replayed) {
-    // The replay rewrote bitmap/pointer/inode blocks under every in-memory
-    // parse of them; drop derived state and rescan bitmaps from the start.
-    dir_index_.clear();
-    inode_alloc_hint_ = 0;
-    block_alloc_hint_ = 0;
-  }
-  // The free counts live only in memory, and a crash drops the bitmap
-  // writes of the allocations and frees that counted: every recovery
-  // takes them from the surviving bitmaps.
-  FICUS_ASSIGN_OR_RETURN(free_inodes_,
-                         BitmapCountFree(sb_.inode_bitmap_start, sb_.inode_count));
-  FICUS_ASSIGN_OR_RETURN(free_blocks_,
-                         BitmapCountFree(sb_.block_bitmap_start, sb_.block_count));
-  return replayed;
+  storage::BlockJournal journal(cache_, sb_.journal_start, sb_.journal_blocks);
+  return journal.Recover().status();
 }
 
 // --- Directories ---
@@ -1209,7 +1201,7 @@ void Ufs::SyncDirIndexEpoch() {
 }
 
 Status Ufs::WriteDirSlots(InodeNum dir, const CachedDir& d, std::vector<uint32_t> buckets,
-                          uint32_t links) {
+                          int32_t links) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   std::sort(buckets.begin(), buckets.end());
   auto offset = [&](uint32_t b) { return (uint64_t{b} + 1) * d.slot_bytes; };
@@ -1242,7 +1234,7 @@ Status Ufs::WriteDirSlots(InodeNum dir, const CachedDir& d, std::vector<uint32_t
   return wrote;
 }
 
-Status Ufs::WriteDirImage(InodeNum dir, const CachedDir& d, uint32_t links) {
+Status Ufs::WriteDirImage(InodeNum dir, const CachedDir& d, int32_t links) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   const uint32_t slot_bytes = d.slot_bytes;
   std::vector<uint8_t> image((d.buckets.size() + 1) * size_t{slot_bytes});
@@ -1261,7 +1253,7 @@ Status Ufs::WriteDirImage(InodeNum dir, const CachedDir& d, uint32_t links) {
   return WriteData(dir, 0, image, links);
 }
 
-Status Ufs::ShrinkDir(InodeNum dir, CachedDir& d, uint32_t touched) {
+Status Ufs::ShrinkDir(InodeNum dir, CachedDir& d, uint32_t touched, int32_t links) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   std::vector<UfsDirEntry> entries;
   entries.reserve(d.entries);
@@ -1272,9 +1264,9 @@ Status Ufs::ShrinkDir(InodeNum dir, CachedDir& d, uint32_t touched) {
   auto bytes = [](const CachedDir& c) { return (c.buckets.size() + 1) * uint64_t{c.slot_bytes}; };
   if (laid.ok() && bytes(*laid) >= bytes(d)) {
     d.laid_entries = d.entries;  // these names need this layout
-    return WriteDirSlots(dir, d, {touched});
+    return WriteDirSlots(dir, d, {touched}, links);
   }
-  Status wrote = laid.ok() ? WriteDirImage(dir, *laid) : laid.status();
+  Status wrote = laid.ok() ? WriteDirImage(dir, *laid, links) : laid.status();
   if (wrote.ok()) {
     wrote = Truncate(dir, bytes(*laid));  // frees the tail; drops `d`
   }
@@ -1287,7 +1279,7 @@ Status Ufs::ShrinkDir(InodeNum dir, CachedDir& d, uint32_t touched) {
 }
 
 Status Ufs::AddDirEntries(InodeNum dir, CachedDir& d, std::vector<UfsDirEntry> added,
-                          uint32_t links) {
+                          int32_t links) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (!d.buckets.empty()) {
     std::vector<uint32_t> touched;
@@ -1374,6 +1366,10 @@ Status Ufs::DirAdd(InodeNum dir, std::string_view name, InodeNum ino, FileType t
 }
 
 Status Ufs::DirRemove(InodeNum dir, std::string_view name) {
+  return RemoveDirEntry(dir, name, 0);
+}
+
+Status Ufs::RemoveDirEntry(InodeNum dir, std::string_view name, int32_t links) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FICUS_ASSIGN_OR_RETURN(CachedDir* d, DirIndex(dir));
   const UfsDirEntry* hit = d->Find(name);
@@ -1386,9 +1382,9 @@ Status Ufs::DirRemove(InodeNum dir, std::string_view name) {
   // A layout chosen for four times the names left shrinks, so emptying a
   // directory gives its blocks back.
   if (--d->entries < d->laid_entries / 4) {
-    return ShrinkDir(dir, *d, b);
+    return ShrinkDir(dir, *d, b, links);
   }
-  return WriteDirSlots(dir, *d, {b});
+  return WriteDirSlots(dir, *d, {b}, links);
 }
 
 StatusOr<std::vector<UfsDirEntry>> Ufs::DirList(InodeNum dir) {
@@ -1453,7 +1449,7 @@ StatusOr<std::vector<InodeNum>> Ufs::CreateFiles(InodeNum dir,
   }
   // Each new directory's implicit ".." is one more link to the parent,
   // raised in the edit's own write of the parent inode.
-  const uint32_t links = type == FileType::kDirectory ? static_cast<uint32_t>(created.size()) : 0;
+  const int32_t links = type == FileType::kDirectory ? static_cast<int32_t>(created.size()) : 0;
   Status wrote = AddDirEntries(dir, *d, std::move(added), links);
   if (!wrote.ok()) {
     undo();
@@ -1471,13 +1467,11 @@ Status Ufs::Unlink(InodeNum dir, std::string_view name) {
     if (!empty) {
       return NotEmptyError(std::string(name));
     }
-    FICUS_RETURN_IF_ERROR(DirRemove(dir, name));
-    FICUS_RETURN_IF_ERROR(FreeInode(ino));
+    // The parent loses the subdirectory's ".." in the edit's own write of
+    // the parent inode.
     FICUS_ASSIGN_OR_RETURN(Inode parent, ReadInode(dir));
-    if (parent.nlink > 2) {
-      --parent.nlink;
-    }
-    return WriteInode(dir, parent);
+    FICUS_RETURN_IF_ERROR(RemoveDirEntry(dir, name, parent.nlink > 2 ? -1 : 0));
+    return FreeInode(ino);
   }
   FICUS_RETURN_IF_ERROR(DirRemove(dir, name));
   if (inode.nlink <= 1) {
@@ -1525,10 +1519,7 @@ StatusOr<std::vector<std::string>> Ufs::Check() {
       problems.push_back("inode " + std::to_string(ino) + " allocated but marked free");
       continue;
     }
-    auto use_block = [&](uint32_t block) {
-      if (block == 0) {
-        return;
-      }
+    FICUS_RETURN_IF_ERROR(ForEachBlock(inode, [&](uint32_t block) {
       if (block < sb_.data_start || block >= sb_.block_count) {
         problems.push_back("inode " + std::to_string(ino) + " references block " +
                            std::to_string(block) + " outside data area");
@@ -1538,43 +1529,7 @@ StatusOr<std::vector<std::string>> Ufs::Check() {
         problems.push_back("block " + std::to_string(block) + " multiply referenced");
       }
       block_used[block] = true;
-    };
-    for (uint32_t d : inode.direct) {
-      use_block(d);
-    }
-    if (inode.indirect != 0) {
-      use_block(inode.indirect);
-      std::vector<uint8_t> pointers;
-      FICUS_RETURN_IF_ERROR(cache_->Read(inode.indirect, pointers));
-      for (uint32_t i = 0; i < kPointersPerBlock; ++i) {
-        uint32_t entry = 0;
-        std::memcpy(&entry, pointers.data() + i * 4, 4);
-        use_block(entry);
-      }
-    }
-    if (inode.double_indirect != 0) {
-      use_block(inode.double_indirect);
-      std::vector<uint8_t> l1;
-      FICUS_RETURN_IF_ERROR(cache_->Read(inode.double_indirect, l1));
-      for (uint32_t i = 0; i < kPointersPerBlock; ++i) {
-        uint32_t l2_block = 0;
-        std::memcpy(&l2_block, l1.data() + i * 4, 4);
-        if (l2_block == 0) {
-          continue;
-        }
-        use_block(l2_block);
-        if (l2_block < sb_.data_start || l2_block >= sb_.block_count) {
-          continue;
-        }
-        std::vector<uint8_t> l2;
-        FICUS_RETURN_IF_ERROR(cache_->Read(l2_block, l2));
-        for (uint32_t j = 0; j < kPointersPerBlock; ++j) {
-          uint32_t entry = 0;
-          std::memcpy(&entry, l2.data() + j * 4, 4);
-          use_block(entry);
-        }
-      }
-    }
+    }));
     // Directory contents reference inodes. The parse checks the image's
     // structure (header, slot lengths, records, bucket placement, no name
     // twice) before its entries are trusted.
@@ -1660,11 +1615,38 @@ StatusOr<std::vector<std::string>> Ufs::Check() {
   return problems;
 }
 
-StatusOr<uint32_t> Ufs::ReclaimOrphans() {
+Status Ufs::ForEachBlock(const Inode& inode, const std::function<void(uint32_t)>& visit) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_RETURN_IF_ERROR(CheckMounted());
+  // `levels` of pointer blocks lie between `block` and the data.
+  std::function<Status(uint32_t, int)> walk = [&](uint32_t block, int levels) -> Status {
+    if (block == 0) {
+      return OkStatus();
+    }
+    visit(block);
+    if (levels == 0 || block < sb_.data_start || block >= sb_.block_count) {
+      return OkStatus();
+    }
+    std::vector<uint8_t> pointers;
+    FICUS_RETURN_IF_ERROR(cache_->Read(block, pointers));
+    for (uint32_t i = 0; i < kPointersPerBlock; ++i) {
+      uint32_t entry = 0;
+      std::memcpy(&entry, pointers.data() + i * 4, 4);
+      FICUS_RETURN_IF_ERROR(walk(entry, levels - 1));
+    }
+    return OkStatus();
+  };
+  for (uint32_t block : inode.direct) {
+    FICUS_RETURN_IF_ERROR(walk(block, 0));
+  }
+  FICUS_RETURN_IF_ERROR(walk(inode.indirect, 1));
+  return walk(inode.double_indirect, 2);
+}
+
+Status Ufs::ReclaimOrphans() {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   std::vector<uint32_t> refcount(sb_.inode_count, 0);
   std::vector<bool> allocated(sb_.inode_count, false);
+  bool refs_known = true;
   for (InodeNum ino = 1; ino < sb_.inode_count; ++ino) {
     FICUS_ASSIGN_OR_RETURN(bool used, BitmapGet(sb_.inode_bitmap_start, ino));
     if (!used) {
@@ -1675,26 +1657,26 @@ StatusOr<uint32_t> Ufs::ReclaimOrphans() {
     if (inode.type != FileType::kDirectory) {
       continue;
     }
-    FICUS_ASSIGN_OR_RETURN(std::vector<UfsDirEntry> entries, DirList(ino));
-    for (const auto& e : entries) {
+    auto entries = DirList(ino);
+    if (entries.status().code() == ErrorCode::kCorrupt) {
+      // Which inodes an unparsable directory names is unknown, so none is
+      // known to be an orphan; Check reports the directory.
+      refs_known = false;
+      continue;
+    }
+    FICUS_RETURN_IF_ERROR(entries.status());
+    for (const auto& e : *entries) {
       if (e.ino != kInvalidInode && e.ino < sb_.inode_count) {
         ++refcount[e.ino];
       }
     }
   }
-  uint32_t reclaimed = 0;
-  for (InodeNum ino = kRootInode + 1; ino < sb_.inode_count; ++ino) {
+  for (InodeNum ino = kRootInode + 1; refs_known && ino < sb_.inode_count; ++ino) {
     if (!allocated[ino] || refcount[ino] != 0) {
       continue;
     }
     FICUS_ASSIGN_OR_RETURN(Inode inode, ReadInode(ino));
-    if (inode.type == FileType::kFree) {
-      // A bit set without its inode (FreeInode crashed between the two):
-      // nothing to free but the bit.
-      FICUS_RETURN_IF_ERROR(BitmapSet(sb_.inode_bitmap_start, ino, false));
-      inode_alloc_hint_ = std::min(inode_alloc_hint_, ino);
-      ++free_inodes_;
-    } else if (inode.type == FileType::kDirectory) {
+    if (inode.type == FileType::kDirectory) {
       // A directory whose create crashed before its name was bound, or
       // whose unlink crashed before its inode was freed. One that still
       // holds entries is left alone: freeing it would orphan them.
@@ -1702,13 +1684,40 @@ StatusOr<uint32_t> Ufs::ReclaimOrphans() {
       if (!empty) {
         continue;
       }
-      FICUS_RETURN_IF_ERROR(FreeInode(ino));
-    } else {
-      FICUS_RETURN_IF_ERROR(FreeInode(ino));
     }
-    ++reclaimed;
+    FICUS_RETURN_IF_ERROR(FreeInode(ino));
+    allocated[ino] = false;
   }
-  return reclaimed;
+  // The block bitmap becomes exactly the metadata area plus every block an
+  // allocated inode references; only bitmap blocks that change are written.
+  std::vector<bool> used(sb_.block_count, false);
+  std::fill_n(used.begin(), sb_.data_start, true);
+  for (InodeNum ino = 1; ino < sb_.inode_count; ++ino) {
+    if (!allocated[ino]) {
+      continue;
+    }
+    FICUS_ASSIGN_OR_RETURN(Inode inode, ReadInode(ino));
+    FICUS_RETURN_IF_ERROR(ForEachBlock(inode, [&](uint32_t block) {
+      if (block < sb_.block_count) {
+        used[block] = true;
+      }
+    }));
+  }
+  constexpr uint32_t kBitsPerBlock = kBlockSize * 8;
+  std::vector<uint8_t> have;
+  for (uint32_t b = 0; b < sb_.block_bitmap_blocks; ++b) {
+    FICUS_RETURN_IF_ERROR(cache_->Read(sb_.block_bitmap_start + b, have));
+    std::vector<uint8_t> want(kBlockSize, 0);
+    for (uint32_t i = 0; i < kBitsPerBlock && b * kBitsPerBlock + i < sb_.block_count; ++i) {
+      if (used[b * kBitsPerBlock + i]) {
+        want[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+      }
+    }
+    if (want != have) {
+      FICUS_RETURN_IF_ERROR(cache_->Write(sb_.block_bitmap_start + b, want));
+    }
+  }
+  return OkStatus();
 }
 
 }  // namespace ficus::ufs

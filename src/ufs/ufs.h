@@ -157,18 +157,6 @@ struct SuperBlock {
   uint32_t journal_blocks = 0;
 };
 
-// Durable-write boundaries of Ufs::RemapCommit, in commit order. A test
-// hook may abort after any of them; because all I/O is write-through, the
-// on-disk image is then exactly what a crash at that boundary leaves.
-enum class RemapCommitPoint : uint8_t {
-  kAfterDataWrite,     // new images written into still-free blocks
-  kAfterJournalStage,  // redo records staged, intent record unsealed
-  kAfterJournalSeal,   // commit point: intent record sealed
-  kAfterJournalApply,  // home metadata blocks rewritten
-  kAfterJournalClear,  // intent retired; commit fully complete
-};
-using RemapCommitHook = std::function<Status(RemapCommitPoint)>;
-
 // One dirty file block for RemapCommit: the file-block ordinal plus its
 // new full-block image (callers zero-pad a trailing partial block).
 struct RemapBlock {
@@ -194,8 +182,12 @@ class Ufs {
   // creates the root directory.
   Status Format(uint32_t inode_count);
 
-  // Reads and validates the superblock of a previously formatted device
-  // and runs RecoverJournal.
+  // Reads and validates the superblock of a previously formatted device,
+  // then recovers whatever a crash left: replays a sealed journal commit
+  // (RecoverJournal), frees orphans and sets the block bitmap to the
+  // blocks in use (ReclaimOrphans), and only then counts the free inodes
+  // and blocks in the bitmaps. The one recovery path: a reboot mounts the
+  // surviving image again, on the same Ufs object or a fresh one.
   Status Mount();
 
   bool mounted() const { return mounted_; }
@@ -240,15 +232,7 @@ class Ufs {
   // redo set exceeds journal capacity — callers fall back to the
   // shadow-file commit.
   Status RemapCommit(InodeNum ino, const std::vector<RemapBlock>& blocks,
-                     uint64_t new_size, const std::vector<uint8_t>* new_ext,
-                     const RemapCommitHook& hook = nullptr);
-
-  // Journal recovery: replays a sealed commit left by a crash, discards an
-  // unsealed one, then counts the free inodes and blocks in the bitmaps.
-  // Returns true when a commit was replayed. Idempotent. Mount() runs
-  // this; the physical layer also runs it on Attach because simulated
-  // reboots re-attach to the surviving image without remounting.
-  StatusOr<bool> RecoverJournal();
+                     uint64_t new_size, const std::vector<uint8_t>* new_ext);
 
   // Does this image carry a usable journal region?
   bool journal_enabled() const { return sb_.journal_blocks >= 2; }
@@ -282,9 +266,8 @@ class Ufs {
   // Unlinks name from dir; frees the inode when nlink drops to zero.
   Status Unlink(InodeNum dir, std::string_view name);
 
-  // Free counts, kept in memory only: Mount and RecoverJournal derive them
-  // from the bitmaps, so allocation writes a bitmap but never the
-  // superblock.
+  // Free counts, kept in memory only: Mount derives them from the
+  // bitmaps, so allocation writes a bitmap but never the superblock.
   StatusOr<uint32_t> FreeBlockCount();
   StatusOr<uint32_t> FreeInodeCount();
 
@@ -295,22 +278,39 @@ class Ufs {
   // problems (empty = ok).
   StatusOr<std::vector<std::string>> Check();
 
-  // fsck-style repair for the debris a crash can legally leave: an
-  // allocated inode no directory entry references — a regular file or
-  // symlink (e.g. a superseded replica whose directory repoint committed
-  // but whose FreeInode never ran), or a directory holding no entries (a
-  // create that crashed before binding its name) — and an inode bitmap
-  // bit set over an inode whose type is free. Frees them and returns how
-  // many were reclaimed. A directory that holds entries is never
-  // reclaimed here.
-  StatusOr<uint32_t> ReclaimOrphans();
-
  private:
   Status CheckMounted() const;
+
+  // Journal recovery (Mount's first step): replays a sealed commit left
+  // by a crash and discards an unsealed one. Idempotent.
+  Status RecoverJournal();
+  // fsck-style repair (Mount's second step) for the debris a crash can
+  // leave between any two device writes. Frees every allocated inode no
+  // directory entry references — a regular file or symlink (a superseded
+  // replica whose repoint committed but whose FreeInode never ran), a
+  // directory holding no entries (a create that crashed before binding
+  // its name), an inode bitmap bit set over an inode whose type is free
+  // — and then sets the block bitmap to exactly the blocks the allocated
+  // inodes reference: blocks a crash left allocated but unreferenced are
+  // freed, and blocks a torn free cleared while an inode still points at
+  // them are marked used again. A directory that holds entries is never
+  // reclaimed, and while any directory is unparsable no inode is. Link
+  // counts are left alone.
+  Status ReclaimOrphans();
   Status WriteSuperBlock();
 
   StatusOr<uint32_t> AllocBlock();
   Status FreeBlock(uint32_t block);
+  // Frees every block `inode` maps past its first `keep_blocks` file
+  // blocks, pointer blocks left empty included, and clears those
+  // pointers in `inode`; a pointer block that keeps entries is
+  // rewritten. Writing the inode is the caller's (Truncate writes the
+  // shorter inode, FreeInode the free image).
+  Status FreeBlocksPast(Inode& inode, uint64_t keep_blocks);
+  // Calls `visit` on every block `inode` maps, the pointer blocks that
+  // map them included; a pointer block outside the data area is visited
+  // but not read.
+  Status ForEachBlock(const Inode& inode, const std::function<void(uint32_t)>& visit);
 
   // Bitmap helpers: index is an inode/block ordinal; base is the bitmap's
   // first device block. `hint` is an allocation rotor (first ordinal that
@@ -340,7 +340,7 @@ class Ufs {
   // own writes keep its index current instead. `links` is added to the
   // inode's nlink in the same inode write.
   Status WriteData(InodeNum ino, uint64_t offset, const std::vector<uint8_t>& data,
-                   uint32_t links = 0);
+                   int32_t links = 0);
 
   // --- parsed-directory index ---
   // Per directory inode, the image's layout and its entries grouped by
@@ -379,21 +379,25 @@ class Ufs {
   // directory inode is written once, with `links` added to its nlink (the
   // ".." of each new subdirectory).
   Status AddDirEntries(InodeNum dir, CachedDir& d, std::vector<UfsDirEntry> added,
-                       uint32_t links);
+                       int32_t links);
+  // DirRemove with `links` added to dir's nlink in the edit's own write of
+  // the dir inode (-1 when the name was a subdirectory's, whose ".." goes).
+  Status RemoveDirEntry(InodeNum dir, std::string_view name, int32_t links);
   // Re-encodes the slots of `buckets` in place, each touched block
   // written once, then the inode's mtime, and `links` more nlink.
   Status WriteDirSlots(InodeNum dir, const CachedDir& d, std::vector<uint32_t> buckets,
-                       uint32_t links = 0);
+                       int32_t links = 0);
   // Writes `d` as dir's whole image, in place over the old one; a longer
   // old image keeps its tail until the caller truncates it. Fails with
   // kNoSpace, writing nothing, when the free blocks cannot hold the
   // growth. The inode write adds `links` to its nlink.
-  Status WriteDirImage(InodeNum dir, const CachedDir& d, uint32_t links = 0);
+  Status WriteDirImage(InodeNum dir, const CachedDir& d, int32_t links = 0);
   // Writes out a DirRemove from bucket `touched` of `d`, which now holds
   // under a quarter of the names its layout was chosen for: re-lays the
   // directory out at the size its names need and frees the tail blocks,
-  // or, when no smaller layout holds them, writes the one slot.
-  Status ShrinkDir(InodeNum dir, CachedDir& d, uint32_t touched);
+  // or, when no smaller layout holds them, writes the one slot. Either
+  // way `links` is added to the inode's nlink.
+  Status ShrinkDir(InodeNum dir, CachedDir& d, uint32_t touched, int32_t links);
 
   // Targeted one-bucket lookup, used when the index is cold: reads the
   // header and one slot instead of parsing the whole image.
@@ -409,8 +413,8 @@ class Ufs {
   const Clock* clock_;
   SuperBlock sb_;
   bool mounted_ = false;
-  // Free counts (see FreeBlockCount): set by Format and RecoverJournal,
-  // kept by alloc and free, never written to the device.
+  // Free counts (see FreeBlockCount): set by Format and Mount, kept by
+  // alloc and free, never written to the device.
   uint32_t free_blocks_ = 0;
   uint32_t free_inodes_ = 0;
   // Allocation rotors (see BitmapFindFree). Reset at mount; purely an

@@ -4,11 +4,12 @@
 // or corrupted state.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <ostream>
 #include <string>
 
 #include "src/repl/physical.h"
 #include "src/sim/cluster.h"
+#include "src/storage/block_journal.h"
 #include "src/vfs/path_ops.h"
 
 namespace ficus::sim {
@@ -137,62 +138,63 @@ TEST_F(CrashRecoveryTest, RepeatedCrashCyclesStayConsistent) {
   }
 }
 
-const char* CrashPointName(repl::CommitCrashPoint point) {
-  switch (point) {
-    case repl::CommitCrashPoint::kAfterShadowCreate: return "AfterShadowCreate";
-    case repl::CommitCrashPoint::kAfterShadowWrite: return "AfterShadowWrite";
-    case repl::CommitCrashPoint::kAfterAttrStage: return "AfterAttrStage";
-    case repl::CommitCrashPoint::kAfterRepoint: return "AfterRepoint";
-    case repl::CommitCrashPoint::kAfterShadowUnlink: return "AfterShadowUnlink";
-    case repl::CommitCrashPoint::kAfterFreeInode: return "AfterFreeInode";
-    case repl::CommitCrashPoint::kAfterDeltaDataWrite: return "AfterDeltaDataWrite";
-    case repl::CommitCrashPoint::kAfterJournalStage: return "AfterJournalStage";
-    case repl::CommitCrashPoint::kAfterJournalSeal: return "AfterJournalSeal";
-    case repl::CommitCrashPoint::kAfterJournalApply: return "AfterJournalApply";
-    case repl::CommitCrashPoint::kAfterJournalClear: return "AfterJournalClear";
-  }
-  return "Unknown";
-}
+// Crash at every device write of one install of a peer update. Paper
+// section 3.2: a crash before the shadow substitution leaves the original
+// replica, a crash after it leaves the new one. Host b's reconciliation
+// pass that pulls v2 of `f` from a runs once to count its W device
+// writes. Then, for every k from 0 to W, the same cluster is rebuilt,
+// only b's first k writes of that pass land, and b crashes and reboots.
+// Recovery must leave a clean UFS, consistent replica metadata and digest
+// tree, no shadow name, and exactly v1 before one commit point k* and
+// exactly v2 from k* on; reconciliation then converges b on v2. The
+// shadow configurations leave the delta-commit gates at their defaults
+// (tiny payloads stay on the shadow path); the delta ones drop the gates
+// to zero so the same install takes the journaled block-remap path.
+struct SweepConfig {
+  const char* name;
+  bool delta_commit;
+  repl::AttrPlacement placement;
+};
 
-// Crash-point matrix over both commit paths: host b's install of a peer
-// update is cut at every write point of InstallVersion (via the
-// PhysicalOptions::crash_point hook), b then crashes and reboots, and
-// recovery must leave no shadow residue, a quiescent journal, a clean
-// UFS, consistent replica metadata, and exactly the pre- or post-commit
-// contents — never a torn file. The shadow instantiation leaves the
-// delta gates at their defaults (tiny payloads stay on the shadow path);
-// the delta instantiation drops the gates to zero so the same install
-// takes the journal-backed block-remap path.
-class ShadowCommitCrashTest
-    : public ::testing::TestWithParam<repl::CommitCrashPoint> {
+void PrintTo(const SweepConfig& config, std::ostream* os) { *os << config.name; }
+
+class CommitCrashSweepTest : public ::testing::TestWithParam<SweepConfig> {
  protected:
-  static constexpr int kDisarmed = -1;
-
-  explicit ShadowCommitCrashTest(bool delta_commit = false) {
-    a_ = cluster_.AddHost("a");
-    HostConfig config;
-    // Fires once at the parameterized point, then disarms so reboot
-    // recovery and later reinstalls run unimpeded. The armed state lives
-    // behind a shared_ptr because Reboot() rebuilds the physical layer
-    // from a copy of this config.
-    config.physical.crash_point = [armed = armed_](repl::CommitCrashPoint p) {
-      if (*armed != static_cast<int>(p)) return false;
-      *armed = kDisarmed;
-      return true;
-    };
-    if (delta_commit) {
-      config.physical.commit_min_bytes = 0;
-      config.physical.commit_max_dirty_frac = 1.0;
+  // Two hosts holding v1 of root entry `f`, with v2 written on a alone.
+  struct Scene {
+    explicit Scene(const SweepConfig& config) {
+      a = cluster.AddHost("a");
+      HostConfig host_config;
+      host_config.physical.attr_placement = config.placement;
+      if (config.delta_commit) {
+        host_config.physical.commit_min_bytes = 0;
+        host_config.physical.commit_max_dirty_frac = 1.0;
+      }
+      b = cluster.AddHost("b", host_config);
     }
-    b_ = cluster_.AddHost("b", config);
-    auto volume = cluster_.CreateVolume({a_, b_});
-    EXPECT_TRUE(volume.ok());
-    volume_ = volume.value();
-  }
+
+    Status Build() {
+      FICUS_ASSIGN_OR_RETURN(volume, cluster.CreateVolume({a, b}));
+      FICUS_ASSIGN_OR_RETURN(repl::LogicalLayer * fs, cluster.MountEverywhere(a, volume));
+      FICUS_RETURN_IF_ERROR(vfs::WriteFileAt(fs, "f", "v1"));
+      FICUS_RETURN_IF_ERROR(cluster.ReconcileUntilQuiescent().status());
+      // v2 must land on a's replica only: partition a alone so update
+      // selection cannot route the write to b.
+      cluster.Partition({{a}});
+      Status wrote = vfs::WriteFileAt(fs, "f", "v2");
+      cluster.Heal();
+      return wrote;
+    }
+
+    Cluster cluster;
+    FicusHost* a = nullptr;
+    FicusHost* b = nullptr;
+    repl::VolumeId volume;
+  };
 
   // b's local copy of root entry `name`, read with no network involved.
-  std::string LocalContentsAtB(const std::string& name) {
-    repl::PhysicalLayer* physical = b_->registry().LocalReplica(volume_);
+  static std::string LocalContents(Scene& scene, const std::string& name) {
+    repl::PhysicalLayer* physical = scene.b->registry().LocalReplica(scene.volume);
     if (physical == nullptr) {
       ADD_FAILURE() << "b stores no replica of the volume";
       return "";
@@ -215,8 +217,9 @@ class ShadowCommitCrashTest
     return "";
   }
 
-  void ExpectNoShadowResidue(ufs::InodeNum dir, const std::string& prefix) {
-    auto entries = b_->ufs().DirList(dir);
+  static void ExpectNoShadowResidue(ufs::Ufs& ufs, ufs::InodeNum dir,
+                                    const std::string& prefix) {
+    auto entries = ufs.DirList(dir);
     ASSERT_TRUE(entries.ok()) << entries.status().ToString();
     for (const ufs::UfsDirEntry& entry : entries.value()) {
       std::string path = prefix + "/" + entry.name;
@@ -224,117 +227,97 @@ class ShadowCommitCrashTest
                    entry.name.substr(entry.name.size() - 7) == ".shadow")
           << "shadow residue survived recovery: " << path;
       if (entry.type == ufs::FileType::kDirectory) {
-        ExpectNoShadowResidue(entry.ino, path);
+        ExpectNoShadowResidue(ufs, entry.ino, path);
       }
     }
   }
 
-  // The shared crash-reboot-verify cycle. `commit_point` is the first
-  // crash point (in enum order within the exercised path) at or after
-  // which the new version must survive the reboot.
-  void RunMatrix(repl::CommitCrashPoint commit_point) {
-    auto fs_a = cluster_.MountEverywhere(a_, volume_);
-    ASSERT_TRUE(vfs::WriteFileAt(*fs_a, "f", "v1").ok());
-    ASSERT_TRUE(cluster_.ReconcileUntilQuiescent().ok());
-
-    // v2 must land on a's replica only: partition a alone so update
-    // selection cannot route the write to b.
-    cluster_.Partition({{a_}});
-    ASSERT_TRUE(vfs::WriteFileAt(*fs_a, "f", "v2").ok());
-    cluster_.Heal();
-
-    *armed_ = static_cast<int>(GetParam());
-    // b pulls v2 from a and the install dies at the armed point; the error
-    // aborts the pull, leaving exactly the crash-point disk image.
-    Status pull = b_->RunReconciliation();
-    EXPECT_FALSE(pull.ok()) << "the interrupted install must surface an error";
-    ASSERT_EQ(*armed_, kDisarmed)
-        << "the crash point never fired (wrong commit path taken?)";
-
-    b_->Crash();
-    ASSERT_TRUE(b_->Reboot().ok());
-
-    ExpectNoShadowResidue(ufs::kRootInode, "");
-    auto fsck = b_->ufs().Check();
+  // fsck at both levels plus the digest-tree oracle on b.
+  static void ExpectClean(FicusHost* b) {
+    auto fsck = b->ufs().Check();
     ASSERT_TRUE(fsck.ok());
     EXPECT_TRUE(fsck->empty()) << fsck->front();
-    for (repl::PhysicalLayer* layer : b_->registry().AllLocal()) {
+    for (repl::PhysicalLayer* layer : b->registry().AllLocal()) {
       auto problems = layer->CheckConsistency();
       ASSERT_TRUE(problems.ok());
       EXPECT_TRUE(problems->empty()) << problems->front();
+      auto digests = layer->ValidateDigestTree();
+      ASSERT_TRUE(digests.ok());
+      EXPECT_TRUE(digests->empty()) << digests->front();
     }
-
-    // Atomicity: before the commit point b still serves v1 intact, from
-    // the commit point onward it serves v2 — never a torn or empty file.
-    std::string contents = LocalContentsAtB("f");
-    if (GetParam() < commit_point) {
-      EXPECT_EQ(contents, "v1");
-    } else {
-      EXPECT_EQ(contents, "v2");
-    }
-
-    // With the hook disarmed, reconciliation finishes the interrupted (or
-    // unacknowledged) install and the cluster converges on v2.
-    ASSERT_TRUE(cluster_.ReconcileUntilQuiescent().ok());
-    EXPECT_EQ(LocalContentsAtB("f"), "v2");
   }
 
-  std::shared_ptr<int> armed_ = std::make_shared<int>(kDisarmed);
-  Cluster cluster_;
-  FicusHost* a_;
-  FicusHost* b_;
-  repl::VolumeId volume_;
+  // Does the intent record on b's disk, read past b's buffer cache, say
+  // sealed?
+  static bool JournalSealedOnDisk(FicusHost* b) {
+    storage::BufferCache uncached(&b->device(), 4);
+    const ufs::SuperBlock& sb = b->ufs().superblock();
+    storage::BlockJournal journal(&uncached, sb.journal_start, sb.journal_blocks);
+    auto sealed = journal.SealedOnDisk();
+    EXPECT_TRUE(sealed.ok()) << sealed.status().ToString();
+    return sealed.ok() && *sealed;
+  }
 };
 
-TEST_P(ShadowCommitCrashTest, RecoveryIsCleanAtEveryWritePoint) {
-  RunMatrix(repl::CommitCrashPoint::kAfterRepoint);
+TEST_P(CommitCrashSweepTest, EveryWriteOfThePullLeavesTheOldOrTheNewVersion) {
+  const SweepConfig& config = GetParam();
+  uint64_t writes = 0;
+  {
+    Scene scene(config);
+    ASSERT_TRUE(scene.Build().ok());
+    repl::PhysicalLayer* physical = scene.b->registry().LocalReplica(scene.volume);
+    auto commits = [&] {
+      return config.delta_commit ? physical->stats().commit_delta
+                                 : physical->stats().commit_shadow;
+    };
+    const uint64_t commits_before = commits();
+    const uint64_t start = scene.b->device().stats().writes;
+    ASSERT_TRUE(scene.b->RunReconciliation().ok());
+    writes = scene.b->device().stats().writes - start;
+    ASSERT_EQ(commits() - commits_before, 1u) << "the pull took the other commit path";
+    ASSERT_EQ(LocalContents(scene, "f"), "v2");
+  }
+  int commit_point = -1;
+  for (uint64_t k = 0; k <= writes; ++k) {
+    SCOPED_TRACE("crash after " + std::to_string(k) + " of " + std::to_string(writes) +
+                 " writes");
+    Scene scene(config);
+    ASSERT_TRUE(scene.Build().ok());
+    scene.b->device().CrashAfterWrites(k);
+    (void)scene.b->RunReconciliation();
+    scene.b->Crash();
+    const bool sealed = config.delta_commit && JournalSealedOnDisk(scene.b);
+    ASSERT_TRUE(scene.b->Reboot().ok());
+
+    ExpectNoShadowResidue(scene.b->ufs(), ufs::kRootInode, "");
+    ExpectClean(scene.b);
+    const std::string contents = LocalContents(scene, "f");
+    if (commit_point < 0 && contents == "v2") {
+      commit_point = static_cast<int>(k);
+      if (config.delta_commit) {
+        // The seal is the commit point: this reboot's Mount replayed the
+        // sealed intent (and Check found none left).
+        EXPECT_TRUE(sealed) << "v2 survived without a sealed journal intent";
+      }
+    }
+    EXPECT_EQ(contents, commit_point < 0 ? "v1" : "v2") << "torn or reverted after k*";
+
+    ASSERT_TRUE(scene.cluster.ReconcileUntilQuiescent().ok());
+    EXPECT_EQ(LocalContents(scene, "f"), "v2");
+    ExpectClean(scene.b);
+  }
+  EXPECT_GT(commit_point, 0) << "v2 survived a crash before b wrote anything";
+  RecordProperty("writes", static_cast<int>(writes));
+  RecordProperty("commit_point", commit_point);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllWritePoints, ShadowCommitCrashTest,
-    ::testing::Values(repl::CommitCrashPoint::kAfterShadowCreate,
-                      repl::CommitCrashPoint::kAfterShadowWrite,
-                      repl::CommitCrashPoint::kAfterAttrStage,
-                      repl::CommitCrashPoint::kAfterRepoint,
-                      repl::CommitCrashPoint::kAfterShadowUnlink,
-                      repl::CommitCrashPoint::kAfterFreeInode),
-    [](const ::testing::TestParamInfo<repl::CommitCrashPoint>& point) {
-      return CrashPointName(point.param);
-    });
-
-// Same matrix through the journal-backed block-remap commit: with the
-// delta gates dropped to zero, b's install of v2 swings only the dirty
-// block, and a crash at every journal write point must resolve to the
-// complete old or complete new file after reboot (sealing is the commit
-// point; recovery replays sealed intents and discards unsealed ones).
-class DeltaCommitCrashTest : public ShadowCommitCrashTest {
- protected:
-  DeltaCommitCrashTest() : ShadowCommitCrashTest(/*delta_commit=*/true) {}
-};
-
-TEST_P(DeltaCommitCrashTest, RecoveryIsCleanAtEveryJournalPoint) {
-  RunMatrix(repl::CommitCrashPoint::kAfterJournalSeal);
-
-  // A crash between seal and clear leaves a sealed intent on disk; the
-  // reboot's Attach must have replayed it (counted once per replay).
-  if (GetParam() == repl::CommitCrashPoint::kAfterJournalSeal ||
-      GetParam() == repl::CommitCrashPoint::kAfterJournalApply) {
-    repl::PhysicalLayer* physical = b_->registry().LocalReplica(volume_);
-    ASSERT_NE(physical, nullptr);
-    EXPECT_GE(physical->stats().journal_replays, 1u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllJournalPoints, DeltaCommitCrashTest,
-    ::testing::Values(repl::CommitCrashPoint::kAfterDeltaDataWrite,
-                      repl::CommitCrashPoint::kAfterJournalStage,
-                      repl::CommitCrashPoint::kAfterJournalSeal,
-                      repl::CommitCrashPoint::kAfterJournalApply,
-                      repl::CommitCrashPoint::kAfterJournalClear),
-    [](const ::testing::TestParamInfo<repl::CommitCrashPoint>& point) {
-      return CrashPointName(point.param);
-    });
+    CommitPaths, CommitCrashSweepTest,
+    ::testing::Values(SweepConfig{"ShadowAuxFile", false, repl::AttrPlacement::kAuxFile},
+                      SweepConfig{"ShadowInode", false, repl::AttrPlacement::kInode},
+                      SweepConfig{"DeltaAuxFile", true, repl::AttrPlacement::kAuxFile},
+                      SweepConfig{"DeltaInode", true, repl::AttrPlacement::kInode}),
+    [](const ::testing::TestParamInfo<SweepConfig>& config) { return config.param.name; });
 
 }  // namespace
 }  // namespace ficus::sim

@@ -21,10 +21,12 @@ class CrashTest : public ::testing::Test {
   }
 
   // Simulates the machine rebooting: drop the page cache, clear the crash
-  // flag, and re-attach a fresh physical layer to the surviving image.
+  // flag, remount the UFS (its own recovery) and attach a fresh physical
+  // layer to the surviving image.
   std::unique_ptr<PhysicalLayer> Reboot() {
     device_.ClearCrash();
     cache_.Invalidate();
+    EXPECT_TRUE(ufs_.Mount().ok());
     auto fresh = std::make_unique<PhysicalLayer>(&ufs_, &clock_);
     EXPECT_TRUE(fresh->Attach("vol1").ok());
     return fresh;

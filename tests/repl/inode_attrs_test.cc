@@ -89,6 +89,7 @@ TEST_F(InodeAttrsTest, CrashDuringInstallKeepsOldContentsAndAttributes) {
   (void)layer_->InstallVersion(*file, {'n'}, vv);
   device_.ClearCrash();
   cache_.Invalidate();
+  ASSERT_TRUE(ufs_.Mount().ok());
 
   PhysicalOptions options;
   options.attr_placement = AttrPlacement::kInode;
@@ -111,6 +112,31 @@ TEST_F(InodeAttrsTest, AttachRestoresPlacementFromMeta) {
   auto attrs = reattached.GetAttributes(*file);
   ASSERT_TRUE(attrs.ok());
   EXPECT_EQ(attrs->vv.Count(1), 1u);
+}
+
+// volume.meta ends in the placement byte, always written: a meta without
+// it, or with a placement other than kAuxFile (0) or kInode (1), is
+// corrupt rather than read as some placement.
+TEST_F(InodeAttrsTest, AttachRejectsAMissingOrUnknownPlacementByte) {
+  auto container = ufs_.DirLookup(ufs::kRootInode, "vol");
+  ASSERT_TRUE(container.ok());
+  auto meta = ufs_.DirLookup(*container, "volume.meta");
+  ASSERT_TRUE(meta.ok());
+  auto bytes = ufs_.ReadAll(*meta);
+  ASSERT_TRUE(bytes.ok());
+  ASSERT_EQ(bytes->back(), static_cast<uint8_t>(AttrPlacement::kInode));
+
+  std::vector<uint8_t> unknown = *bytes;
+  unknown.back() = 2;
+  std::vector<uint8_t> missing(bytes->begin(), bytes->end() - 1);
+  for (const std::vector<uint8_t>& image : {unknown, missing}) {
+    ASSERT_TRUE(ufs_.WriteAll(*meta, image).ok());
+    PhysicalLayer reattached(&ufs_, &clock_);
+    EXPECT_EQ(reattached.Attach("vol").code(), ErrorCode::kCorrupt);
+  }
+  ASSERT_TRUE(ufs_.WriteAll(*meta, *bytes).ok());
+  PhysicalLayer reattached(&ufs_, &clock_);
+  EXPECT_TRUE(reattached.Attach("vol").ok());
 }
 
 TEST_F(InodeAttrsTest, OversizedVectorSpillsToAuxFile) {

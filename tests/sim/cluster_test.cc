@@ -146,5 +146,42 @@ TEST_F(ClusterTest, UpdateDuringPartitionServedByReachableReplica) {
   EXPECT_EQ(contents.value(), "base");
 }
 
+// ReconcileUntilQuiescent stops after a round that pulled nothing and
+// changed no entry set. Under the full walk, two replicas whose roots hold
+// the same entries and differ only in their version vectors converge in
+// one such round: b replays every entry of a's root, none of which
+// changes b's, and only the directory vector merges.
+TEST(QuiescenceTest, ARoundThatReplaysOnlyUnchangedEntriesEndsTheLoop) {
+  Cluster cluster;
+  HostConfig config;
+  config.reconcile.digest_guided = false;
+  FicusHost* a = cluster.AddHost("a", config);
+  FicusHost* b = cluster.AddHost("b", config);
+  auto volume = cluster.CreateVolume({a, b});
+  ASSERT_TRUE(volume.ok());
+  auto fs = cluster.MountEverywhere(a, *volume);
+  ASSERT_TRUE(fs.ok());
+  ASSERT_TRUE(vfs::WriteFileAt(*fs, "f", "same on both").ok());
+  ASSERT_TRUE(cluster.ReconcileUntilQuiescent().ok());
+
+  // One more event in a's root vector, with no entry behind it.
+  repl::PhysicalLayer* at_a = a->registry().LocalReplica(*volume);
+  repl::PhysicalLayer* at_b = b->registry().LocalReplica(*volume);
+  auto root = at_a->GetAttributes(repl::kRootFileId);
+  ASSERT_TRUE(root.ok());
+  repl::VersionVector bumped = root->vv;
+  bumped.Increment(at_a->replica_id());
+  ASSERT_TRUE(at_a->MergeDirVersion(repl::kRootFileId, bumped).ok());
+
+  const uint64_t applied = at_b->stats().entries_applied;
+  auto rounds = cluster.ReconcileUntilQuiescent();
+  ASSERT_TRUE(rounds.ok());
+  EXPECT_EQ(rounds.value(), 1);
+  EXPECT_EQ(at_b->stats().entries_applied, applied);
+  auto merged = at_b->GetAttributes(repl::kRootFileId);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_TRUE(merged->vv == bumped);
+}
+
 }  // namespace
 }  // namespace ficus::sim

@@ -11,11 +11,14 @@
 //
 // The free inode and block counts get the same treatment: after a crash
 // anywhere inside CreateFile, the mounted counts must equal what the
-// bitmaps say, and so must the counts journal recovery takes on a disk
-// that is not remounted (a simulated reboot) after a crash dropped the
-// bitmap writes of counted frees. A crash anywhere inside CreateFile of a
-// file or a directory leaves only debris ReclaimOrphans clears, and a
-// directory create costs the same writes as a file create.
+// bitmaps say, and so must the counts of the very Ufs object whose
+// counted frees a crash dropped, once it is mounted again (what a
+// simulated reboot does). A crash anywhere inside CreateFile of a file or
+// a directory, or inside a truncate, rewrite, growth or unlink of a
+// 20-block file, leaves only debris Mount's repair clears. A directory
+// create costs the same writes as a file create, and a directory remove
+// the same as a file remove.
+#include <functional>
 #include <map>
 #include <string>
 #include <tuple>
@@ -200,29 +203,86 @@ TEST(CreateWritesTest, DirectoryCreateWritesAsMuchAsFileCreate) {
   EXPECT_LE(writes[0], 4u);  // inode, bitmap, slot block, parent inode
 }
 
-// Whatever a crash inside CreateFile leaves, remount plus ReclaimOrphans
-// (what Attach runs) must leave an image fsck finds nothing wrong with.
+// A one-name remove writes the slot block and the parent inode, which for
+// a directory also carries the parent's lowered nlink, then the victim's
+// free image and its bitmap bit: four writes for an empty file or an
+// empty directory.
+TEST(RemoveWritesTest, DirectoryRemoveWritesAsMuchAsFileRemove) {
+  const FileType types[2] = {FileType::kRegular, FileType::kDirectory};
+  for (int i = 0; i < 2; ++i) {
+    Disk disk(20);
+    ASSERT_TRUE(disk.ufs.CreateFile(disk.dir, "victim", types[i], 0755, 0, 0).ok());
+    const uint32_t parent_links = disk.ufs.ReadInode(disk.dir)->nlink;
+    const uint64_t start = disk.device.stats().writes;
+    ASSERT_TRUE(disk.ufs.Unlink(disk.dir, "victim").ok());
+    EXPECT_EQ(disk.device.stats().writes - start, 4u) << (i == 1 ? "rmdir" : "unlink");
+    EXPECT_EQ(disk.ufs.ReadInode(disk.dir)->nlink, parent_links - (i == 1 ? 1 : 0));
+    auto problems = disk.ufs.Check();
+    ASSERT_TRUE(problems.ok());
+    EXPECT_TRUE(problems->empty()) << problems->front();
+  }
+}
+
+// File "big" in the disk's directory: 20 blocks, so 12 direct and 8
+// behind the single indirect block.
+InodeNum AddBigFile(Disk& disk) {
+  const InodeNum big =
+      disk.ufs.CreateFile(disk.dir, "big", FileType::kRegular, 0644, 0, 0).value();
+  EXPECT_TRUE(
+      disk.ufs.WriteAll(big, std::vector<uint8_t>(20 * storage::kBlockSize, 0x6B)).ok());
+  return big;
+}
+
+// Whatever a crash inside one of these ops leaves, a fresh Mount (journal
+// replay, then ReclaimOrphans' orphan and block-bitmap repair) must leave
+// an image fsck finds nothing wrong with: no leaked block, no block a
+// live file references but the bitmap calls free, free counts equal to
+// the bitmaps'.
 TEST(CreateCrashTest, ReclaimOrphansLeavesACleanImageAfterACrashAtEveryWrite) {
-  for (FileType type : {FileType::kRegular, FileType::kDirectory}) {
+  using Op = std::function<Status(Disk&, InodeNum big)>;
+  const std::vector<std::pair<std::string, Op>> ops = {
+      {"create a file",
+       [](Disk& d, InodeNum) {
+         return d.ufs.CreateFile(d.dir, "created", FileType::kRegular, 0755, 0, 0).status();
+       }},
+      {"create a directory",
+       [](Disk& d, InodeNum) {
+         return d.ufs.CreateFile(d.dir, "created", FileType::kDirectory, 0755, 0, 0).status();
+       }},
+      {"truncate big to 3 blocks",
+       [](Disk& d, InodeNum big) { return d.ufs.Truncate(big, 3 * storage::kBlockSize); }},
+      {"rewrite big as 100 bytes",
+       [](Disk& d, InodeNum big) {
+         return d.ufs.WriteAll(big, std::vector<uint8_t>(100, 0x42));
+       }},
+      {"grow big into the double-indirect range",
+       [](Disk& d, InodeNum big) {
+         const uint64_t offset =
+             uint64_t{kDirectBlocks + kPointersPerBlock} * storage::kBlockSize;
+         return d.ufs.WriteAt(big, offset, {1, 2, 3}).status();
+       }},
+      {"unlink big", [](Disk& d, InodeNum) { return d.ufs.Unlink(d.dir, "big"); }},
+  };
+  for (const auto& [name, op] : ops) {
     uint64_t writes = 0;
     {
       Disk disk(20);
+      const InodeNum big = AddBigFile(disk);
       const uint64_t start = disk.device.stats().writes;
-      ASSERT_TRUE(disk.ufs.CreateFile(disk.dir, "created", type, 0755, 0, 0).ok());
+      ASSERT_TRUE(op(disk, big).ok()) << name;
       writes = disk.device.stats().writes - start;
     }
     for (uint64_t k = 0; k <= writes; ++k) {
-      SCOPED_TRACE(std::string(type == FileType::kDirectory ? "directory" : "file") +
-                   ", crash after " + std::to_string(k) + " of " + std::to_string(writes) +
-                   " writes");
+      SCOPED_TRACE(name + ", crash after " + std::to_string(k) + " of " +
+                   std::to_string(writes) + " writes");
       Disk disk(20);
+      const InodeNum big = AddBigFile(disk);
       disk.device.CrashAfterWrites(k);
-      (void)disk.ufs.CreateFile(disk.dir, "created", type, 0755, 0, 0);
+      (void)op(disk, big);
       disk.device.ClearCrash();
       disk.cache.Invalidate();
       Ufs remounted(&disk.cache, &disk.clock);
       ASSERT_TRUE(remounted.Mount().ok());
-      ASSERT_TRUE(remounted.ReclaimOrphans().ok());
       auto problems = remounted.Check();
       ASSERT_TRUE(problems.ok());
       EXPECT_TRUE(problems->empty()) << problems->front();
@@ -230,19 +290,20 @@ TEST(CreateCrashTest, ReclaimOrphansLeavesACleanImageAfterACrashAtEveryWrite) {
   }
 }
 
-TEST(FreeCountCrashTest, RecoveryWithoutARemountRecountsTheBitmaps) {
+TEST(FreeCountCrashTest, RemountingTheSameUfsRecountsTheBitmaps) {
   Disk disk(20);
   auto file = disk.ufs.CreateFile(disk.dir, "doomed", FileType::kRegular, 0644, 0, 0);
   ASSERT_TRUE(file.ok());
   ASSERT_TRUE(
       disk.ufs.WriteAll(*file, std::vector<uint8_t>(3 * storage::kBlockSize, 0x7E)).ok());
   // The unlink counts one inode and three blocks free; none of its writes
-  // land.
+  // land. The same Ufs object then mounts the surviving image, as a
+  // simulated reboot does.
   disk.device.InjectCrash();
   ASSERT_TRUE(disk.ufs.Unlink(disk.dir, "doomed").ok());
   disk.device.ClearCrash();
   disk.cache.Invalidate();
-  ASSERT_TRUE(disk.ufs.RecoverJournal().ok());
+  ASSERT_TRUE(disk.ufs.Mount().ok());
   const SuperBlock& sb = disk.ufs.superblock();
   EXPECT_EQ(disk.ufs.FreeInodeCount().value(),
             ClearBits(disk.device, sb.inode_bitmap_start, sb.inode_count));
