@@ -1,6 +1,7 @@
 #include "src/nfs/client.h"
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 
 #include "src/common/backoff.h"
@@ -15,6 +16,11 @@ using vfs::SetAttrRequest;
 using vfs::VAttr;
 using vfs::VnodePtr;
 
+namespace {
+// Client ids start at 1; no NfsClient sends as client 0.
+std::atomic<uint64_t> next_client_id{1};
+}  // namespace
+
 NfsClient::NfsClient(net::Network* network, net::HostId local_host, net::HostId server_host,
                      const Clock* clock, ClientConfig config, std::string service,
                      MetricRegistry* metrics)
@@ -25,6 +31,7 @@ NfsClient::NfsClient(net::Network* network, net::HostId local_host, net::HostId 
       config_(config),
       service_(std::move(service)),
       registry_(metrics != nullptr ? metrics : &owned_registry_),
+      client_id_(next_client_id.fetch_add(1, std::memory_order_relaxed)),
       // Deterministic per-endpoint-pair jitter stream: the plan-level seed
       // mixed with both host ids, so two clients never share a stream but
       // a rerun with the same seed replays exactly.
@@ -81,16 +88,35 @@ void NfsClient::ResetStats() {
 }
 
 StatusOr<Payload> NfsClient::Call(const Payload& request, const OpContext& ctx) {
+  CallHeader header{.client = client_id_};
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    header.xid = next_xid_++;
+    in_flight_.insert(header.xid);
+    header.floor = *in_flight_.begin();
+  }
+  Payload framed;
+  framed.reserve(kCallHeaderSize + request.size());
+  ByteWriter w(framed);
+  PutCallHeader(w, header);
+  framed.insert(framed.end(), request.begin(), request.end());
+  StatusOr<Payload> result = Transmit(framed, ctx);
+  std::lock_guard<std::mutex> lock(mu_);
+  in_flight_.erase(header.xid);
+  return result;
+}
+
+StatusOr<Payload> NfsClient::Transmit(const Payload& framed, const OpContext& ctx) {
   const RetryPolicy& retry = config_.retry;
   // An unset cap means constant backoff at the base delay.
   const SimTime cap = retry.backoff_cap != 0 ? retry.backoff_cap : retry.backoff_base;
   for (uint32_t attempt = 0;; ++attempt) {
     stats_.rpcs->Increment();
-    if (!request.empty() && request[0] < kNfsProcCount) {
-      proc_cells_[request[0]]->Increment();
+    if (framed.size() > kCallHeaderSize && framed[kCallHeaderSize] < kNfsProcCount) {
+      proc_cells_[framed[kCallHeaderSize]]->Increment();
     }
     StatusOr<Payload> result =
-        network_->Rpc(local_host_, server_host_, service_, request, retry.rpc_timeout);
+        network_->Rpc(local_host_, server_host_, service_, framed, retry.rpc_timeout);
     if (result.ok()) {
       if (attempt > 0) {
         stats_.retry_recovered->Increment();
@@ -298,7 +324,7 @@ StatusOr<std::vector<uint8_t>> NfsVnode::LookupRead(std::string_view name,
                                                     const OpContext& ctx) {
   // One RPC for lookup + whole-contents read. No handle comes back, so
   // nothing is cached: the intended callers (Ficus facade transactions)
-  // name one-shot request/response vnodes that must not be re-resolved.
+  // send one-shot requests that no client cache may answer.
   Payload request = BeginRequest(NfsProc::kLookupRead, ctx, handle_);
   ByteWriter w(request);
   w.PutString(name);

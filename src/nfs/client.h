@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 
 #include "src/common/clock.h"
@@ -148,13 +149,17 @@ class NfsClient : public vfs::Vfs {
 
   SimTime Now() const { return clock_ != nullptr ? clock_->Now() : 0; }
 
-  // Sends one marshalled call; returns the response with its leading Status
-  // already checked. Transport timeouts (lost messages under faults) are
-  // retried per config_.retry with capped exponential backoff + jitter,
-  // honoring ctx's deadline: the client never starts a backoff sleep that
-  // would overrun it. The first attempt is always sent — deadline
-  // enforcement on fresh work belongs to the server.
+  // Sends one marshalled call (procedure number onward) behind a fresh
+  // call header; returns the response with its leading Status already
+  // checked. Transport timeouts (lost messages under faults) are retried
+  // per config_.retry with capped exponential backoff + jitter, honoring
+  // ctx's deadline: the client never starts a backoff sleep that would
+  // overrun it. The first attempt is always sent — deadline enforcement on
+  // fresh work belongs to the server. Every attempt carries the same xid,
+  // so a server that already ran the call replays its reply.
   StatusOr<net::Payload> Call(const net::Payload& request, const vfs::OpContext& ctx = {});
+  // Call's retry loop over the framed bytes.
+  StatusOr<net::Payload> Transmit(const net::Payload& framed, const vfs::OpContext& ctx);
 
   // --- cache plumbing ---
   StatusOr<vfs::VAttr> CachedAttr(NfsHandle handle);
@@ -203,11 +208,15 @@ class NfsClient : public vfs::Vfs {
   MetricRegistry owned_registry_;
   MetricRegistry* registry_;
   StatCells stats_;
-  // Guards the caches, the cached root handle, and the jitter rng —
-  // everything a concurrent NfsVnode operation may touch. Never held
-  // across an RPC.
+  // This client's id in every call header; unique in the process.
+  const uint64_t client_id_;
+  // Guards the caches, the cached root handle, the jitter rng and the xid
+  // state — everything a concurrent NfsVnode operation may touch. Never
+  // held across an RPC.
   mutable std::mutex mu_;
   Rng retry_rng_;
+  uint64_t next_xid_ = 1;
+  std::set<uint64_t> in_flight_;  // xids of calls not yet returned
   NfsHandle root_handle_ = kInvalidHandle;
   std::map<NfsHandle, AttrEntry> attr_cache_;
   std::map<std::pair<NfsHandle, std::string>, NameEntry> dnlc_;

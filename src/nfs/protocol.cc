@@ -27,6 +27,19 @@ const char* NfsProcName(NfsProc proc) {
   return "unknown";
 }
 
+void PutCallHeader(ByteWriter& w, const CallHeader& header) {
+  w.PutU64(header.client);
+  w.PutU64(header.xid);
+  w.PutU64(header.floor);
+}
+
+Status GetCallHeader(ByteReader& r, CallHeader& header) {
+  FICUS_ASSIGN_OR_RETURN(header.client, r.GetU64());
+  FICUS_ASSIGN_OR_RETURN(header.xid, r.GetU64());
+  FICUS_ASSIGN_OR_RETURN(header.floor, r.GetU64());
+  return OkStatus();
+}
+
 void PutVAttr(ByteWriter& w, const vfs::VAttr& attr) {
   w.PutU8(static_cast<uint8_t>(attr.type));
   w.PutU32(attr.mode);

@@ -1,8 +1,9 @@
 // Wire protocol for the simulated NFS transport (paper section 2.2).
 //
 // Deliberate fidelity to the real NFS of the paper's era:
-//   * stateless: the only per-client state on the server is the file-handle
-//     table, and handles are durable names, not open-file state;
+//   * stateless: the server holds no open-file state. Its file-handle
+//     table maps durable names, and its duplicate-request cache keeps
+//     about one reply per client, so a retried call runs once;
 //   * there are NO open/close procedures — a layer above an NFS hop that
 //     wants open/close must tunnel them (Ficus overloads lookup, §2.3);
 //   * there is no ioctl-style escape hatch either, which is why the
@@ -51,11 +52,10 @@ enum class NfsProc : uint8_t {
   // NFSv3 READDIRPLUS idea, here so an `ls -l` scan of an N-entry
   // directory does not cost N+1 round trips.
   kReaddirPlus = 17,
-  // Combined LOOKUP + whole-contents READ of the named child in one RPC.
-  // Exists for the Ficus facade transactions (encoded-name request whose
-  // response is read back from the returned vnode): one round trip
-  // instead of lookup-then-read, which halves the wire cost of every
-  // small digest exchange during reconciliation.
+  // Combined LOOKUP + whole-contents READ of the named child in one RPC,
+  // with no handle minted for the child. Not an NFSv2 procedure: it is
+  // the carrier of every small Ficus facade request (an encoded name in,
+  // the marshalled response out), one round trip instead of two.
   kLookupRead = 18,
 };
 
@@ -70,7 +70,22 @@ const char* NfsProcName(NfsProc proc);
 // Name of the RPC service an NfsServer registers on its host port.
 inline constexpr char kNfsService[] = "nfs";
 
+// Every call opens with this header, ahead of the procedure number: the
+// sending client, the call's transaction id (xid), which every retry of
+// the call reuses, and the lowest xid that client still has in flight. A
+// server answers a repeated (client, xid) from its reply cache instead of
+// running the call twice, and forgets the client's replies below `floor`.
+struct CallHeader {
+  uint64_t client = 0;
+  uint64_t xid = 0;
+  uint64_t floor = 0;
+};
+inline constexpr size_t kCallHeaderSize = 24;
+
 // --- shared marshalling helpers (Status: src/common/serialize.h) ---
+
+void PutCallHeader(ByteWriter& w, const CallHeader& header);
+Status GetCallHeader(ByteReader& r, CallHeader& header);
 
 void PutVAttr(ByteWriter& w, const vfs::VAttr& attr);
 Status GetVAttr(ByteReader& r, vfs::VAttr& attr);

@@ -36,19 +36,51 @@ NfsServer::NfsServer(net::Network* network, net::HostId host, vfs::Vfs* exported
   }
 }
 
+namespace {
+
+Payload ErrorResponse(const Status& status) {
+  Payload out;
+  ByteWriter w(out);
+  PutStatus(w, status);
+  return out;
+}
+
+}  // namespace
+
 StatusOr<Payload> NfsServer::Serve(net::HostId sender, const Payload& request) {
-  if (service_pool_ == nullptr) {
-    return Dispatch(sender, request);
+  ByteReader r(request);
+  CallHeader header;
+  Status framed = GetCallHeader(r, header);
+  if (!framed.ok()) {
+    stats_.calls->Increment();
+    stats_.errors->Increment();
+    return ErrorResponse(framed);
   }
-  // Hand the request to the bounded service pool and wait for its reply.
-  // Submit() blocks when every service slot is busy, which is the
-  // backpressure a fixed nfsd population applies to its transports.
-  std::promise<StatusOr<Payload>> reply;
-  std::future<StatusOr<Payload>> got = reply.get_future();
-  service_pool_->Submit([this, sender, &request, &reply] {
-    reply.set_value(Dispatch(sender, request));
-  });
-  return got.get();
+  const auto client = std::make_pair(sender, header.client);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto& kept = replies_[client];
+    kept.erase(kept.begin(), kept.lower_bound(header.floor));
+    auto replay = kept.find(header.xid);
+    if (replay != kept.end()) {
+      return replay->second;
+    }
+  }
+  StatusOr<Payload> reply = [this, &r]() -> StatusOr<Payload> {
+    if (service_pool_ == nullptr) {
+      return Dispatch(r);
+    }
+    // Hand the request to the bounded service pool and wait for its reply.
+    // Submit() blocks when every service slot is busy, which is the
+    // backpressure a fixed nfsd population applies to its transports.
+    std::promise<StatusOr<Payload>> served;
+    std::future<StatusOr<Payload>> got = served.get_future();
+    service_pool_->Submit([this, &r, &served] { served.set_value(Dispatch(r)); });
+    return got.get();
+  }();
+  std::lock_guard<std::mutex> lock(mu_);
+  replies_[client].insert_or_assign(header.xid, reply);
+  return reply;
 }
 
 ServerStats NfsServer::stats() const {
@@ -62,6 +94,7 @@ void NfsServer::FlushHandles() {
   std::lock_guard<std::mutex> lock(mu_);
   handle_to_vnode_.clear();
   file_to_handle_.clear();
+  replies_.clear();
 }
 
 NfsHandle NfsServer::HandleFor(const VnodePtr& vnode) {
@@ -117,20 +150,8 @@ StatusOr<VnodePtr> NfsServer::VnodeFor(NfsHandle handle) {
   return it->second;
 }
 
-namespace {
-
-Payload ErrorResponse(const Status& status) {
-  Payload out;
-  ByteWriter w(out);
-  PutStatus(w, status);
-  return out;
-}
-
-}  // namespace
-
-StatusOr<Payload> NfsServer::Dispatch(net::HostId, const Payload& request) {
+StatusOr<Payload> NfsServer::Dispatch(ByteReader& r) {
   stats_.calls->Increment();
-  ByteReader r(request);
   auto fail = [this](const Status& status) -> StatusOr<Payload> {
     stats_.errors->Increment();
     return ErrorResponse(status);

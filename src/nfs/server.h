@@ -5,6 +5,13 @@
 // Statelessness: the server holds no open-file state. The file-handle table
 // maps durable handles to vnodes; FlushHandles() models a server reboot,
 // after which clients presenting old handles get kStale.
+//
+// Duplicate-request cache: a call whose reply was lost is resent with the
+// same (client, xid) header, and the server answers it with the reply it
+// kept instead of running it twice (a second REMOVE of a name the first
+// one removed would fail). Each header's floor, the lowest xid its client
+// still has in flight, retires that client's older replies, so the cache
+// keeps about one reply per client.
 #ifndef FICUS_SRC_NFS_SERVER_H_
 #define FICUS_SRC_NFS_SERVER_H_
 
@@ -41,8 +48,8 @@ class NfsServer {
             std::string service = kNfsService, const Clock* clock = nullptr,
             MetricRegistry* metrics = nullptr);
 
-  // Server restart: all handles become stale except the root, which clients
-  // re-acquire via kGetRoot.
+  // Server restart: all handles become stale, the root included, which
+  // clients re-acquire via kGetRoot; the reply cache is emptied.
   void FlushHandles();
 
   // Bounded service pool (borrowed, optional). When set, each incoming RPC
@@ -56,9 +63,12 @@ class NfsServer {
   net::HostId host() const { return host_; }
 
  private:
-  // Transport entry point: runs Dispatch inline or via the service pool.
+  // Transport entry point: reads the call header, answers a repeated call
+  // from the reply cache, and runs a new one through Dispatch, inline or
+  // via the service pool.
   StatusOr<net::Payload> Serve(net::HostId sender, const net::Payload& request);
-  StatusOr<net::Payload> Dispatch(net::HostId sender, const net::Payload& request);
+  // Runs the call `r` holds from its procedure number on.
+  StatusOr<net::Payload> Dispatch(ByteReader& r);
 
   // Returns the handle for a vnode, minting one if needed.
   NfsHandle HandleFor(const vfs::VnodePtr& vnode);
@@ -83,10 +93,15 @@ class NfsServer {
   vfs::Vfs* exported_;
   const Clock* clock_ = nullptr;
   Executor* service_pool_ = nullptr;
-  // Guards the handle maps, next_handle_, and root_handle_ against
-  // concurrent service-pool threads. Leaf with respect to the exported
-  // stack's locks except inside EvictExcessHandlesLocked (see above).
+  // Guards the handle maps, next_handle_, root_handle_ and replies_
+  // against concurrent service-pool threads. Leaf with respect to the
+  // exported stack's locks except inside EvictExcessHandlesLocked (see
+  // above).
   mutable std::mutex mu_;
+  // Duplicate-request cache: per (sender host, client id), the replies to
+  // the client's recent calls by xid.
+  std::map<std::pair<net::HostId, uint64_t>, std::map<uint64_t, StatusOr<net::Payload>>>
+      replies_;
   std::map<NfsHandle, vfs::VnodePtr> handle_to_vnode_;
   // Durable-name index: one handle per (fsid, fileid). Vnode objects are
   // cheap per-lookup handles, so identity must be by file, not by pointer.
@@ -99,8 +114,8 @@ class NfsServer {
 
   // Cap on live handles: beyond it the oldest non-root handles are
   // retired (clients see kStale and re-lookup, which NFS semantics
-  // permit). Keeps facade request/response traffic from growing the
-  // table without bound.
+  // permit). Among facade traffic only sessions mint handles; a small
+  // request's LookupRead mints none.
   static constexpr size_t kMaxHandles = 8192;
 };
 

@@ -296,7 +296,6 @@ std::vector<uint8_t> ExecutePhysRequest(PhysicalLayer* layer,
     case PhysOp::kAddEntry: return Serve(layer, r, &PhysicalApi::AddEntry);
     case PhysOp::kRemoveEntry: return Serve(layer, r, &PhysicalApi::RemoveEntry);
     case PhysOp::kRenameEntry: return Serve(layer, r, &PhysicalApi::RenameEntry);
-    case PhysOp::kApplyEntry: return Serve(layer, r, &PhysicalApi::ApplyEntry);
     case PhysOp::kMergeDirVersion: return Serve(layer, r, &PhysicalApi::MergeDirVersion);
     case PhysOp::kReadLink: return Serve(layer, r, &PhysicalApi::ReadLink);
     case PhysOp::kWriteLink: return Serve(layer, r, &PhysicalApi::WriteLink);
@@ -313,39 +312,6 @@ std::vector<uint8_t> ExecutePhysRequest(PhysicalLayer* layer,
 }
 
 namespace {
-
-// Read-only vnode holding one marshalled response.
-class ResponseVnode : public vfs::Vnode {
- public:
-  ResponseVnode(uint64_t fileid, uint64_t fsid, std::vector<uint8_t> response)
-      : fileid_(fileid), fsid_(fsid), response_(std::move(response)) {}
-
-  StatusOr<VAttr> GetAttr(const OpContext& = {}) override {
-    VAttr attr;
-    attr.type = VnodeType::kRegular;
-    attr.size = response_.size();
-    attr.fileid = fileid_;
-    attr.fsid = fsid_;
-    return attr;
-  }
-
-  StatusOr<size_t> Read(uint64_t offset, size_t length, std::vector<uint8_t>& out,
-                        const OpContext&) override {
-    out.clear();
-    if (offset >= response_.size()) {
-      return size_t{0};
-    }
-    size_t count = std::min(length, response_.size() - static_cast<size_t>(offset));
-    out.assign(response_.begin() + static_cast<ptrdiff_t>(offset),
-               response_.begin() + static_cast<ptrdiff_t>(offset + count));
-    return count;
-  }
-
- private:
-  uint64_t fileid_;
-  uint64_t fsid_;
-  std::vector<uint8_t> response_;
-};
 
 // One-shot request/response channel for requests too large for a name.
 class SessionVnode : public vfs::Vnode {
@@ -417,19 +383,25 @@ class FacadeRootVnode : public vfs::Vnode {
     return attr;
   }
 
+  // The one name that is a vnode: a session for a request too large for a
+  // name.
   StatusOr<VnodePtr> Lookup(std::string_view name, const OpContext&) override {
     if (name == kSessionName) {
       return VnodePtr(
           std::make_shared<SessionVnode>(fs_->layer(), fs_->NextFileId(), fs_->fsid()));
     }
-    constexpr size_t kPrefixLen = sizeof(kReqPrefix) - 1;
-    if (name.size() > kPrefixLen && name.substr(0, kPrefixLen) == kReqPrefix) {
-      FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> request,
-                             HexDecodeBytes(name.substr(kPrefixLen)));
-      return VnodePtr(std::make_shared<ResponseVnode>(
-          fs_->NextFileId(), fs_->fsid(), ExecutePhysRequest(fs_->layer(), request)));
+    return NotFoundError("facade root looks up only @session");
+  }
+
+  // A small request rides in an @req: name and its response comes back in
+  // the same call, so an NFS server mints no handle for it.
+  StatusOr<std::vector<uint8_t>> LookupRead(std::string_view name, const OpContext&) override {
+    if (!name.starts_with(kReqPrefix)) {
+      return NotFoundError("facade root reads back only @req:* names");
     }
-    return NotFoundError("facade understands only @req:* and @session names");
+    FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> request,
+                           HexDecodeBytes(name.substr(sizeof(kReqPrefix) - 1)));
+    return ExecutePhysRequest(fs_->layer(), request);
   }
 
  private:
@@ -450,13 +422,12 @@ StatusOr<VnodePtr> PhysicalFacadeVfs::Root() {
 RemotePhysical::RemotePhysical(VnodePtr root, RootRefresher refresher)
     : root_(std::move(root)), refresher_(std::move(refresher)) {}
 
-StatusOr<std::vector<uint8_t>> RemotePhysical::Transact(const std::vector<uint8_t>& request,
-                                                        bool single_trip) {
+StatusOr<std::vector<uint8_t>> RemotePhysical::Transact(const std::vector<uint8_t>& request) {
   Credentials ctx;
   // One retry: a stale facade-root handle (server handle-table eviction
   // or restart) is recovered by re-acquiring the root, as NFS clients do.
   for (int attempt = 0; attempt < 2; ++attempt) {
-    auto result = TransactOnce(request, ctx, single_trip);
+    auto result = TransactOnce(request, ctx);
     if (result.ok() || result.status().code() != ErrorCode::kStale ||
         refresher_ == nullptr || attempt == 1) {
       return result;
@@ -472,37 +443,29 @@ StatusOr<std::vector<uint8_t>> RemotePhysical::Transact(const std::vector<uint8_
 }
 
 StatusOr<std::vector<uint8_t>> RemotePhysical::TransactOnce(
-    const std::vector<uint8_t>& request, const OpContext& ctx, bool single_trip) {
+    const std::vector<uint8_t>& request, const OpContext& ctx) {
   VnodePtr root;
   {
     std::lock_guard<std::mutex> lock(root_mu_);
     root = root_;
   }
   std::vector<uint8_t> response;
-  if (request.size() <= kMaxInlineRequest && single_trip) {
-    // Small request whose caller asked for the combined op: the encoded
-    // name and the full response ride one LookupRead RPC.
+  if (request.size() <= kMaxInlineRequest) {
+    // Small request: encode it into a name that NFS forwards verbatim (the
+    // paper's overloaded-lookup technique); the response rides back in the
+    // same LookupRead RPC.
     inline_calls_.fetch_add(1, std::memory_order_relaxed);
     std::string name = std::string(kReqPrefix) + HexEncodeBytes(request);
     FICUS_ASSIGN_OR_RETURN(response, root->LookupRead(name, ctx));
   } else {
-    VnodePtr channel;
-    if (request.size() <= kMaxInlineRequest) {
-      // Small request: encode it into a lookup name that NFS forwards
-      // verbatim (the paper's overloaded-lookup technique).
-      inline_calls_.fetch_add(1, std::memory_order_relaxed);
-      std::string name = std::string(kReqPrefix) + HexEncodeBytes(request);
-      FICUS_ASSIGN_OR_RETURN(channel, root->Lookup(name, ctx));
-    } else {
-      session_calls_.fetch_add(1, std::memory_order_relaxed);
-      FICUS_ASSIGN_OR_RETURN(channel, root->Lookup(kSessionName, ctx));
-      FICUS_RETURN_IF_ERROR(channel->Write(0, request, ctx).status());
-    }
+    session_calls_.fetch_add(1, std::memory_order_relaxed);
+    FICUS_ASSIGN_OR_RETURN(VnodePtr session, root->Lookup(kSessionName, ctx));
+    FICUS_RETURN_IF_ERROR(session->Write(0, request, ctx).status());
     // Drain the response (it can exceed one NFS read quantum).
     constexpr size_t kChunk = 64 * 1024;
     for (;;) {
       std::vector<uint8_t> piece;
-      FICUS_ASSIGN_OR_RETURN(size_t got, channel->Read(response.size(), kChunk, piece, ctx));
+      FICUS_ASSIGN_OR_RETURN(size_t got, session->Read(response.size(), kChunk, piece, ctx));
       response.insert(response.end(), piece.begin(), piece.end());
       if (got < kChunk) {
         break;
@@ -525,12 +488,12 @@ Status RemotePhysical::Connect() {
   return GetAll(r, volume_, replica_);
 }
 
-template <bool kSingleTrip, typename R, typename... P>
+template <typename R, typename... P>
 R RemotePhysical::Call(PhysOp op, R (PhysicalApi::*)(P...), std::type_identity_t<P>... args) {
   std::vector<uint8_t> request{static_cast<uint8_t>(op)};
   ByteWriter w(request);
   PutAll(w, args...);
-  StatusOr<std::vector<uint8_t>> results = Transact(request, kSingleTrip);
+  StatusOr<std::vector<uint8_t>> results = Transact(request);
   if constexpr (std::is_same_v<R, Status>) {
     return results.status();
   } else {
@@ -557,14 +520,12 @@ StatusOr<std::vector<FileAttrResult>> RemotePhysical::BatchGetAttributes(
 
 StatusOr<std::vector<SubtreeDigest>> RemotePhysical::GetSubtreeDigests(
     const std::vector<FileId>& dirs) {
-  return Call</*kSingleTrip=*/true>(PhysOp::kGetSubtreeDigests, &PhysicalApi::GetSubtreeDigests,
-                                    dirs);
+  return Call(PhysOp::kGetSubtreeDigests, &PhysicalApi::GetSubtreeDigests, dirs);
 }
 
 StatusOr<BucketDelta> RemotePhysical::GetBucketDelta(
     FileId dir, const std::vector<uint64_t>& bucket_digests) {
-  return Call</*kSingleTrip=*/true>(PhysOp::kGetBucketDelta, &PhysicalApi::GetBucketDelta, dir,
-                                    bucket_digests);
+  return Call(PhysOp::kGetBucketDelta, &PhysicalApi::GetBucketDelta, dir, bucket_digests);
 }
 
 StatusOr<std::vector<uint8_t>> RemotePhysical::ReadData(FileId file, uint64_t offset,
@@ -627,7 +588,7 @@ Status RemotePhysical::RenameEntry(FileId old_dir, std::string_view old_name, Fi
 }
 
 Status RemotePhysical::ApplyEntry(FileId dir, const FicusDirEntry& entry) {
-  return Call(PhysOp::kApplyEntry, &PhysicalApi::ApplyEntry, dir, entry);
+  return ApplyEntries(dir, {entry});
 }
 
 Status RemotePhysical::ApplyEntries(FileId dir, const std::vector<FicusDirEntry>& entries) {

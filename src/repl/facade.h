@@ -11,13 +11,14 @@
 //
 // PhysicalFacadeVfs wraps a PhysicalLayer as a vnode tree an NfsServer can
 // export. Its root understands two names:
-//   "@req:<hex-encoded request>"  — small requests ride inside the name
-//                                   itself; the returned vnode's Read()
-//                                   yields the marshalled response.
-//   "@session"                    — large requests (file contents) get a
-//                                   one-shot session vnode: Write() the
-//                                   request bytes, then Read() the
-//                                   response.
+//   "@req:<hex-encoded request>"  — a small request rides inside the name
+//                                   of one LookupRead, which returns the
+//                                   marshalled response: one NFS RPC, and
+//                                   no server file handle.
+//   "@session"                    — a large request (file contents) gets a
+//                                   one-shot session vnode from Lookup:
+//                                   Write() the request bytes, then Read()
+//                                   the response.
 //
 // RemotePhysical is the matching client: a PhysicalApi whose every method
 // marshals itself through those two names against any vnode — a facade
@@ -60,7 +61,7 @@ enum class PhysOp : uint8_t {
   kAddEntry = 12,
   kRemoveEntry = 13,
   kRenameEntry = 14,
-  kApplyEntry = 15,
+  // 15 is retired: ApplyEntry travels as a one-entry kApplyEntries.
   kMergeDirVersion = 16,
   kReadLink = 17,
   kWriteLink = 18,
@@ -78,7 +79,7 @@ enum class PhysOp : uint8_t {
 // returns the marshalled response. A request is its opcode followed by
 // the arguments of the PhysicalApi method the opcode names, in order; a
 // response is a Status followed, when it is ok, by the method's result.
-// Shared by the facade's request and session vnodes.
+// Shared by the facade root's LookupRead and its session vnodes.
 std::vector<uint8_t> ExecutePhysRequest(PhysicalLayer* layer,
                                         const std::vector<uint8_t>& request);
 
@@ -91,8 +92,8 @@ class PhysicalFacadeVfs : public vfs::Vfs {
 
   PhysicalLayer* layer() { return layer_; }
   uint64_t fsid() const { return fsid_; }
-  // Concurrent server threads mint session/response vnodes, so ids come
-  // from an atomic.
+  // Concurrent server threads mint session vnodes, so ids come from an
+  // atomic.
   uint64_t NextFileId() { return next_fileid_.fetch_add(1, std::memory_order_relaxed); }
 
  private:
@@ -152,24 +153,20 @@ class RemotePhysical : public PhysicalApi {
   Status NoteOpen(FileId file) override;
   Status NoteClose(FileId file) override;
 
-  // How many calls went inline through a lookup name vs. via a session.
+  // How many calls went inline through one LookupRead vs. via a session.
   uint64_t inline_calls() const { return inline_calls_.load(std::memory_order_relaxed); }
   uint64_t session_calls() const { return session_calls_.load(std::memory_order_relaxed); }
 
  private:
   // Ships a marshalled request and returns the response with its leading
   // Status checked and consumed, retrying once through the refresher on a
-  // stale root handle. `single_trip` routes a small request through the
-  // combined LookupRead vnode op (one NFS RPC instead of lookup + read) —
-  // used by the digest exchanges, whose latency bounds every
-  // reconciliation descent level.
-  StatusOr<std::vector<uint8_t>> Transact(const std::vector<uint8_t>& request,
-                                          bool single_trip = false);
+  // stale root handle.
+  StatusOr<std::vector<uint8_t>> Transact(const std::vector<uint8_t>& request);
   StatusOr<std::vector<uint8_t>> TransactOnce(const std::vector<uint8_t>& request,
-                                              const vfs::OpContext& ctx, bool single_trip);
+                                              const vfs::OpContext& ctx);
   // Ships `op` with `args`, the arguments of the PhysicalApi `method` it
   // names, through Transact and decodes the method's result.
-  template <bool kSingleTrip = false, typename R, typename... P>
+  template <typename R, typename... P>
   R Call(PhysOp op, R (PhysicalApi::*method)(P...), std::type_identity_t<P>... args);
 
   // Guards root_ against a concurrent stale-handle refresh; snapshotted

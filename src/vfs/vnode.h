@@ -170,9 +170,9 @@ class Vnode {
   // Combined lookup + whole-contents read of the named child in one call.
   // The default composes Lookup with chunked Reads — correct for any
   // directory vnode, at the two-round-trip cost the combined op exists to
-  // avoid; the NFS client overrides it with a single LOOKUPREAD RPC. The
-  // Ficus facade transactions (encoded-name request, read the response)
-  // are the intended caller.
+  // avoid; the NFS client overrides it with a single LOOKUPREAD RPC. Every
+  // small Ficus facade request travels this way: the facade root answers
+  // an encoded-name request with its response, and no child vnode exists.
   virtual StatusOr<std::vector<uint8_t>> LookupRead(std::string_view name,
                                                     const OpContext& ctx);
   virtual StatusOr<VnodePtr> Symlink(std::string_view name, std::string_view target,

@@ -176,9 +176,9 @@ TEST(BatchedProbeTest, RunOncePaysOneProbeRpcPerPeer) {
   ASSERT_NE(pb, nullptr);
   ASSERT_EQ(pb->PendingVersionCount(), static_cast<size_t>(kFiles));
 
-  uint64_t lookups_before = b->metrics().CounterValue("nfs.client.proc.lookup");
+  uint64_t lookups_before = b->metrics().CounterValue("nfs.client.proc.lookupread");
   ASSERT_TRUE(b->RunPropagation().ok());
-  uint64_t lookups = b->metrics().CounterValue("nfs.client.proc.lookup") - lookups_before;
+  uint64_t lookups = b->metrics().CounterValue("nfs.client.proc.lookupread") - lookups_before;
 
   auto stats = b->propagation_stats(*volume);
   ASSERT_TRUE(stats.has_value());

@@ -1,6 +1,6 @@
-// Adversarial inputs to the NFS server: truncated requests, unknown
-// procedures, bogus handles, and random garbage must produce error
-// responses — never crashes or silent corruption.
+// Adversarial inputs to the NFS server: truncated requests and headers,
+// unknown procedures, bogus handles, and random garbage must produce error
+// responses — never crashes or silent corruption. A resent call runs once.
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
@@ -19,6 +19,17 @@ class ProtocolRobustnessTest : public ::testing::Test {
     client_host_ = network_.AddHost("client");
     server_ = std::make_unique<NfsServer>(&network_, server_host_, &exported_);
     EXPECT_TRUE(vfs::WriteFileAt(&exported_, "canary", "alive").ok());
+  }
+
+  // Frames `body` (procedure number onward) behind a call header with a
+  // fresh xid, as client 0 (an id no NfsClient takes).
+  net::Payload Framed(const net::Payload& body) {
+    net::Payload request;
+    ByteWriter w(request);
+    ++xid_;
+    PutCallHeader(w, CallHeader{.client = 0, .xid = xid_, .floor = xid_});
+    request.insert(request.end(), body.begin(), body.end());
+    return request;
   }
 
   // Sends raw bytes as an RPC and returns the decoded leading status.
@@ -43,11 +54,58 @@ class ProtocolRobustnessTest : public ::testing::Test {
   vfs::MemVfs exported_;
   net::HostId server_host_, client_host_;
   std::unique_ptr<NfsServer> server_;
+  uint64_t xid_ = 0;
 };
 
 TEST_F(ProtocolRobustnessTest, EmptyRequestRejected) {
-  EXPECT_FALSE(SendRaw({}).ok());
+  EXPECT_FALSE(SendRaw(Framed({})).ok());
   ExpectCanaryIntact();
+}
+
+TEST_F(ProtocolRobustnessTest, TruncatedHeaderIsCorruptAndRunsNothing) {
+  NfsClient client(&network_, client_host_, server_host_, &clock_);
+  auto root = client.Root();
+  ASSERT_TRUE(root.ok());
+  net::Payload remove;
+  ByteWriter w(remove);
+  w.PutU8(static_cast<uint8_t>(NfsProc::kRemove));
+  PutContext(w, vfs::OpContext{});
+  w.PutU64(dynamic_cast<NfsVnode*>(root->get())->handle());
+  w.PutString("canary");
+  const uint64_t calls_before = server_->stats().calls;
+  net::Payload framed = Framed(remove);
+  for (size_t length = 0; length < kCallHeaderSize; ++length) {
+    net::Payload cut(framed.begin(), framed.begin() + static_cast<ptrdiff_t>(length));
+    EXPECT_EQ(SendRaw(cut).code(), ErrorCode::kCorrupt) << length << " bytes";
+  }
+  EXPECT_EQ(server_->stats().calls - calls_before, kCallHeaderSize);
+  EXPECT_EQ(server_->stats().errors, kCallHeaderSize);
+  ExpectCanaryIntact();
+}
+
+TEST_F(ProtocolRobustnessTest, ResentCallRunsOnce) {
+  // A REMOVE whose reply was lost is resent with the same xid. Running it
+  // again would fail with kNotFound although the first run removed the
+  // file; the server answers the resend with the reply it kept.
+  NfsClient client(&network_, client_host_, server_host_, &clock_);
+  auto root = client.Root();
+  ASSERT_TRUE(root.ok());
+  net::Payload body;
+  ByteWriter w(body);
+  w.PutU8(static_cast<uint8_t>(NfsProc::kRemove));
+  PutContext(w, vfs::OpContext{});
+  w.PutU64(dynamic_cast<NfsVnode*>(root->get())->handle());
+  w.PutString("canary");
+  net::Payload remove = Framed(body);
+  EXPECT_TRUE(SendRaw(remove).ok());
+  EXPECT_TRUE(SendRaw(remove).ok());
+  EXPECT_EQ(vfs::ReadFileAt(&exported_, "canary").status().code(), ErrorCode::kNotFound);
+  // The same call under a new xid is a new call, and runs.
+  EXPECT_EQ(SendRaw(Framed(body)).code(), ErrorCode::kNotFound);
+  // A restart empties the cache: the resend now runs, against a handle
+  // the restart retired.
+  server_->FlushHandles();
+  EXPECT_EQ(SendRaw(remove).code(), ErrorCode::kStale);
 }
 
 TEST_F(ProtocolRobustnessTest, UnknownProcedureRejected) {
@@ -55,7 +113,7 @@ TEST_F(ProtocolRobustnessTest, UnknownProcedureRejected) {
   ByteWriter w(request);
   w.PutU8(250);  // no such procedure
   PutContext(w, vfs::OpContext{});
-  Status status = SendRaw(request);
+  Status status = SendRaw(Framed(request));
   EXPECT_FALSE(status.ok());
   ExpectCanaryIntact();
 }
@@ -66,7 +124,7 @@ TEST_F(ProtocolRobustnessTest, BogusHandleIsStale) {
   w.PutU8(static_cast<uint8_t>(NfsProc::kGetAttr));
   PutContext(w, vfs::OpContext{});
   w.PutU64(0xDEADBEEFCAFEF00DULL);
-  EXPECT_EQ(SendRaw(request).code(), ErrorCode::kStale);
+  EXPECT_EQ(SendRaw(Framed(request)).code(), ErrorCode::kStale);
 }
 
 TEST_F(ProtocolRobustnessTest, TruncatedArgumentsRejected) {
@@ -77,7 +135,7 @@ TEST_F(ProtocolRobustnessTest, TruncatedArgumentsRejected) {
   PutContext(w, vfs::OpContext{});
   w.PutU64(1);
   request.push_back(0x05);  // half of a u16 length
-  EXPECT_FALSE(SendRaw(request).ok());
+  EXPECT_FALSE(SendRaw(Framed(request)).ok());
   ExpectCanaryIntact();
 }
 
@@ -106,7 +164,7 @@ TEST_F(ProtocolRobustnessTest, MutationWithBogusHandleChangesNothing) {
   PutContext(w, vfs::OpContext{});
   w.PutU64(424242);
   w.PutString("canary");
-  EXPECT_FALSE(SendRaw(request).ok());
+  EXPECT_FALSE(SendRaw(Framed(request)).ok());
   ExpectCanaryIntact();
 }
 
@@ -126,7 +184,7 @@ TEST_F(ProtocolRobustnessTest, OversizedWritePayloadHandled) {
   w.PutU64(0);
   w.PutU32(0x7FFFFFFF);  // lies: "2 GiB follow"
   request.push_back('x');
-  EXPECT_FALSE(SendRaw(request).ok());
+  EXPECT_FALSE(SendRaw(Framed(request)).ok());
   ExpectCanaryIntact();
 }
 

@@ -18,16 +18,23 @@ namespace ficus::repl {
 
 struct FacadeRecording {
   // Every request and response byte in call order. Each event is a tag
-  // byte ('L' lookup name, 'R' single-trip lookup name, 'W' session
-  // write, 'r' response bytes) followed by a u32 length and the bytes.
+  // byte ('R' LookupRead name, 'L' lookup name, 'W' session write, 'r'
+  // response bytes) followed by a u32 length and the bytes.
   std::vector<uint8_t> transcript;
-  // Every request, decoded from its lookup name or session write.
+  // Every request, decoded from its LookupRead name or session write.
   std::vector<std::vector<uint8_t>> requests;
+  // Every response byte, concatenated: the same whether a response
+  // arrives whole or in read chunks.
+  std::vector<uint8_t> responses;
 
   void Note(uint8_t tag, const std::vector<uint8_t>& bytes) {
     ByteWriter w(transcript);
     w.PutU8(tag);
     w.PutBytes(bytes);
+  }
+  void NoteResponse(const std::vector<uint8_t>& bytes) {
+    Note('r', bytes);
+    responses.insert(responses.end(), bytes.begin(), bytes.end());
   }
   void NoteName(uint8_t tag, std::string_view name) {
     Note(tag, std::vector<uint8_t>(name.begin(), name.end()));
@@ -58,7 +65,7 @@ class RecordingVnode : public vfs::Vnode {
                                             const vfs::OpContext& ctx) override {
     recording_->NoteName('R', name);
     FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> response, inner_->LookupRead(name, ctx));
-    recording_->Note('r', response);
+    recording_->NoteResponse(response);
     return response;
   }
 
@@ -72,7 +79,7 @@ class RecordingVnode : public vfs::Vnode {
   StatusOr<size_t> Read(uint64_t offset, size_t length, std::vector<uint8_t>& out,
                         const vfs::OpContext& ctx) override {
     auto got = inner_->Read(offset, length, out, ctx);
-    recording_->Note('r', out);
+    recording_->NoteResponse(out);
     return got;
   }
 
@@ -83,10 +90,10 @@ class RecordingVnode : public vfs::Vnode {
 
 // Calls every PhysOp at least once through `proxy`: per-row errors in
 // BatchGetAttributes, GetSubtreeDigests and GetBucketDelta, whole-call
-// errors, requests and responses large enough for a session and for two
-// read chunks, and the single-trip digest exchanges. Opcodes added later
-// are called after the earlier ones, so an older capture stays a prefix of
-// the current one. Call under ASSERT_NO_FATAL_FAILURE.
+// errors, requests large enough for a session, and a response larger than
+// one 64 KiB read chunk. Opcodes added later are called after the earlier
+// ones, so an older capture stays a prefix of the current one. Call under
+// ASSERT_NO_FATAL_FAILURE.
 inline void RunEveryOpScenario(RemotePhysical& proxy) {
   const FileId missing{9, 9};
   ASSERT_TRUE(proxy.Connect().ok());

@@ -42,6 +42,28 @@ TEST(HostTest, AccessRoutesRemoteOverNfs) {
   EXPECT_GT(cluster.network().stats().rpcs_sent, 0u);
 }
 
+TEST(HostTest, EachSmallRemoteCallIsOneRpcAndPinsNoHandle) {
+  // Small facade requests ride one LookupRead each and leave no handle in
+  // the server's table, so 20,000 of them (more than twice its 8192 slots)
+  // never evict the facade root and never see a stale handle.
+  Cluster cluster;
+  FicusHost* a = cluster.AddHost("a");
+  FicusHost* b = cluster.AddHost("b");
+  auto volume = cluster.CreateVolume({b});
+  ASSERT_TRUE(volume.ok());
+  a->LearnReplicaLocation(*volume, 1, b->id());
+  auto api = a->Access(*volume, 1);
+  ASSERT_TRUE(api.ok());
+  const uint64_t rpcs_before = a->metrics().CounterValue("nfs.client.rpcs");
+  const uint64_t errors_before = b->nfs_server().stats().errors;
+  constexpr uint64_t kCalls = 20000;
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE((*api)->GetAttributes(repl::kRootFileId).ok()) << "call " << i;
+  }
+  EXPECT_EQ(a->metrics().CounterValue("nfs.client.rpcs") - rpcs_before, kCalls);
+  EXPECT_EQ(b->nfs_server().stats().errors - errors_before, 0u);
+}
+
 TEST(HostTest, AccessUnknownReplicaFails) {
   Cluster cluster;
   FicusHost* a = cluster.AddHost("a");
