@@ -7,6 +7,10 @@
 //
 // Sweeps burst size and propagation policy (eager after every update vs
 // delayed one pass after the burst) and reports transfers and bytes moved.
+// The delta rows also report what a one-block pull costs the puller
+// locally, buffer-cache block reads and blocks hashed; the bench exits 1
+// when either grows more than 1.5x from the smallest file to the largest.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -17,8 +21,9 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/repl/physical_api.h"
+#include "src/repl/physical.h"
 #include "src/sim/cluster.h"
+#include "src/storage/buffer_cache.h"
 #include "src/vfs/path_ops.h"
 
 namespace {
@@ -77,6 +82,8 @@ struct DeltaRun {
   uint64_t bytes_pulled = 0;    // payload bytes the edit propagation moved
   uint64_t rpcs = 0;            // NFS RPCs the edit propagation issued
   uint64_t blocks_fetched = 0;  // differing blocks pulled (delta mode only)
+  uint64_t cache_reads = 0;     // puller's buffer-cache block reads, hits + misses
+  uint64_t blocks_hashed = 0;   // puller's blocks hashed, its layer and its daemon
 };
 
 // Seeds a `file_size` file on host a, converges host b, edits ONE 4 KiB
@@ -106,6 +113,19 @@ DeltaRun RunDeltaEdit(size_t file_size, bool delta_enabled) {
   }
   uint64_t rpcs_before = b->metrics().CounterValue("nfs.client.rpcs");
   (void)vfs::WriteFileAt(*logical, "big", contents);
+  // Host b's own work for the pull: the daemon counts into its replica's
+  // registry, beside the layer.
+  const MetricRegistry& b_metrics = b->registry().LocalReplica(*volume)->metrics();
+  auto hashed = [&b_metrics] {
+    return b_metrics.CounterValue("repl.physical.digest.blocks_hashed") +
+           b_metrics.CounterValue("repl.prop.delta.blocks_verified");
+  };
+  auto cache_reads = [b] {
+    storage::CacheStats cache = b->buffer_cache().stats();
+    return cache.hits + cache.misses;
+  };
+  const uint64_t hashed_before = hashed();
+  const uint64_t cache_reads_before = cache_reads();
   (void)b->RunPropagation();
 
   DeltaRun run;
@@ -114,6 +134,8 @@ DeltaRun RunDeltaEdit(size_t file_size, bool delta_enabled) {
     run.blocks_fetched = stats->delta_blocks_fetched;
   }
   run.rpcs = b->metrics().CounterValue("nfs.client.rpcs") - rpcs_before;
+  run.cache_reads = cache_reads() - cache_reads_before;
+  run.blocks_hashed = hashed() - hashed_before;
   return run;
 }
 
@@ -175,13 +197,14 @@ int main(int argc, char** argv) {
   json << "]";
 
   std::printf("\nDelta propagation — one 4 KiB block edited mid-file, then pulled\n");
-  std::printf("%10s | %12s %6s | %12s %6s | %9s\n", "file size", "whole bytes", "rpcs",
-              "delta bytes", "rpcs", "reduction");
-  const std::vector<size_t> sizes = smoke ? std::vector<size_t>{64 * 1024}
-                                          : std::vector<size_t>{64 * 1024, 256 * 1024,
-                                                                1024 * 1024};
+  std::printf("%10s | %12s %6s | %12s %6s %11s %7s | %9s\n", "file size", "whole bytes",
+              "rpcs", "delta bytes", "rpcs", "cache reads", "hashed", "reduction");
+  const std::vector<size_t> sizes =
+      smoke ? std::vector<size_t>{64 * 1024, 1024 * 1024}
+            : std::vector<size_t>{64 * 1024, 256 * 1024, 1024 * 1024};
   json << ",\"delta\":[";
   first = true;
+  std::vector<DeltaRun> delta_runs;
   for (size_t size : sizes) {
     DeltaRun whole = RunDeltaEdit(size, /*delta_enabled=*/false);
     DeltaRun delta = RunDeltaEdit(size, /*delta_enabled=*/true);
@@ -189,19 +212,41 @@ int main(int argc, char** argv) {
                            ? 0.0
                            : static_cast<double>(whole.bytes_pulled) /
                                  static_cast<double>(delta.bytes_pulled);
-    std::printf("%9zuK | %12llu %6llu | %12llu %6llu | %8.1fx\n", size / 1024,
+    std::printf("%9zuK | %12llu %6llu | %12llu %6llu %11llu %7llu | %8.1fx\n", size / 1024,
                 static_cast<unsigned long long>(whole.bytes_pulled),
                 static_cast<unsigned long long>(whole.rpcs),
                 static_cast<unsigned long long>(delta.bytes_pulled),
-                static_cast<unsigned long long>(delta.rpcs), reduction);
+                static_cast<unsigned long long>(delta.rpcs),
+                static_cast<unsigned long long>(delta.cache_reads),
+                static_cast<unsigned long long>(delta.blocks_hashed), reduction);
     if (!first) json << ",";
     first = false;
     json << "{\"file_size\":" << size << ",\"whole\":{\"bytes\":" << whole.bytes_pulled
          << ",\"rpcs\":" << whole.rpcs << "},\"delta\":{\"bytes\":" << delta.bytes_pulled
          << ",\"rpcs\":" << delta.rpcs << ",\"blocks_fetched\":" << delta.blocks_fetched
-         << "},\"reduction\":" << reduction << "}";
+         << ",\"cache_reads\":" << delta.cache_reads
+         << ",\"blocks_hashed\":" << delta.blocks_hashed << "},\"reduction\":" << reduction
+         << "}";
+    delta_runs.push_back(delta);
   }
   json << "]";
+  // The puller's local cost of a one-block pull is flat in file size: it
+  // reads and hashes the blocks it replaces, not the file.
+  bool flat = true;
+  const DeltaRun& smallest = delta_runs.front();
+  const DeltaRun& largest = delta_runs.back();
+  const std::pair<const char*, double> growth[] = {
+      {"cache reads", static_cast<double>(largest.cache_reads) /
+                          static_cast<double>(std::max<uint64_t>(smallest.cache_reads, 1))},
+      {"blocks hashed", static_cast<double>(largest.blocks_hashed) /
+                            static_cast<double>(std::max<uint64_t>(smallest.blocks_hashed, 1))}};
+  for (const auto& [what, ratio] : growth) {
+    if (ratio > 1.5) {
+      std::printf("FAIL: the puller's %s grow %.2fx from %zu KiB to %zu KiB\n", what, ratio,
+                  sizes.front() / 1024, sizes.back() / 1024);
+      flat = false;
+    }
+  }
 
   // Threaded-vs-deterministic on one fixed workload: same pull/byte
   // counts expected (the protocols are runtime-independent), wall clock
@@ -242,6 +287,6 @@ int main(int argc, char** argv) {
               "paper credits to \"wait for some later, more convenient time\".\n"
               "The delta rows extend it: a block-digest exchange pins the transfer\n"
               "to the blocks that changed, so the pull cost tracks the edit size,\n"
-              "not the file size.\n");
-  return 0;
+              "not the file size, on the wire and on the puller.\n");
+  return flat ? 0 : 1;
 }

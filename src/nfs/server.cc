@@ -179,6 +179,16 @@ StatusOr<Payload> NfsServer::Dispatch(ByteReader& r) {
     return fail(deadline_status);
   }
 
+  // Every failure gets an NFS error reply and counts as an error, a
+  // request cut short or malformed inside its arguments included.
+  StatusOr<Payload> reply = Execute(proc, r, ctx);
+  if (!reply.ok()) {
+    return fail(reply.status());
+  }
+  return reply;
+}
+
+StatusOr<Payload> NfsServer::Execute(NfsProc proc, ByteReader& r, const vfs::OpContext& ctx) {
   Payload out;
   ByteWriter w(out);
 
@@ -188,93 +198,57 @@ StatusOr<Payload> NfsServer::Dispatch(ByteReader& r) {
       return out;
     }
     case NfsProc::kGetRoot: {
-      auto root = exported_->Root();
-      if (!root.ok()) {
-        return fail(root.status());
-      }
-      auto attr = root.value()->GetAttr(ctx);
-      if (!attr.ok()) {
-        return fail(attr.status());
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr root, exported_->Root());
+      FICUS_ASSIGN_OR_RETURN(VAttr attr, root->GetAttr(ctx));
       PutStatus(w, OkStatus());
-      NfsHandle handle = HandleFor(root.value());
+      NfsHandle handle = HandleFor(root);
       {
         std::lock_guard<std::mutex> lock(mu_);
         root_handle_ = handle;
       }
       w.PutU64(handle);
-      PutVAttr(w, attr.value());
+      PutVAttr(w, attr);
       return out;
     }
     case NfsProc::kGetAttr: {
       FICUS_ASSIGN_OR_RETURN(NfsHandle handle, r.GetU64());
-      auto vnode = VnodeFor(handle);
-      if (!vnode.ok()) {
-        return fail(vnode.status());
-      }
-      auto attr = vnode.value()->GetAttr(ctx);
-      if (!attr.ok()) {
-        return fail(attr.status());
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr vnode, VnodeFor(handle));
+      FICUS_ASSIGN_OR_RETURN(VAttr attr, vnode->GetAttr(ctx));
       PutStatus(w, OkStatus());
-      PutVAttr(w, attr.value());
+      PutVAttr(w, attr);
       return out;
     }
     case NfsProc::kSetAttr: {
       FICUS_ASSIGN_OR_RETURN(NfsHandle handle, r.GetU64());
       SetAttrRequest setattr;
       FICUS_RETURN_IF_ERROR(GetSetAttr(r, setattr));
-      auto vnode = VnodeFor(handle);
-      if (!vnode.ok()) {
-        return fail(vnode.status());
-      }
-      Status status = vnode.value()->SetAttr(setattr, ctx);
-      if (!status.ok()) {
-        return fail(status);
-      }
-      auto attr = vnode.value()->GetAttr(ctx);
-      if (!attr.ok()) {
-        return fail(attr.status());
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr vnode, VnodeFor(handle));
+      FICUS_RETURN_IF_ERROR(vnode->SetAttr(setattr, ctx));
+      FICUS_ASSIGN_OR_RETURN(VAttr attr, vnode->GetAttr(ctx));
       PutStatus(w, OkStatus());
-      PutVAttr(w, attr.value());
+      PutVAttr(w, attr);
       return out;
     }
     case NfsProc::kLookup: {
       FICUS_ASSIGN_OR_RETURN(NfsHandle handle, r.GetU64());
       FICUS_ASSIGN_OR_RETURN(std::string name, r.GetString());
-      auto dir = VnodeFor(handle);
-      if (!dir.ok()) {
-        return fail(dir.status());
-      }
-      auto child = dir.value()->Lookup(name, ctx);
-      if (!child.ok()) {
-        return fail(child.status());
-      }
-      auto attr = child.value()->GetAttr(ctx);
-      if (!attr.ok()) {
-        return fail(attr.status());
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr dir, VnodeFor(handle));
+      FICUS_ASSIGN_OR_RETURN(VnodePtr child, dir->Lookup(name, ctx));
+      FICUS_ASSIGN_OR_RETURN(VAttr attr, child->GetAttr(ctx));
       PutStatus(w, OkStatus());
-      w.PutU64(HandleFor(child.value()));
-      PutVAttr(w, attr.value());
+      w.PutU64(HandleFor(child));
+      PutVAttr(w, attr);
       return out;
     }
     case NfsProc::kLookupRead: {
       FICUS_ASSIGN_OR_RETURN(NfsHandle handle, r.GetU64());
       FICUS_ASSIGN_OR_RETURN(std::string name, r.GetString());
-      auto dir = VnodeFor(handle);
-      if (!dir.ok()) {
-        return fail(dir.status());
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr dir, VnodeFor(handle));
       // Server-side composition: the exported vfs does the lookup and the
       // full read locally, so the client pays one round trip for both.
-      auto contents = dir.value()->LookupRead(name, ctx);
-      if (!contents.ok()) {
-        return fail(contents.status());
-      }
+      FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> contents, dir->LookupRead(name, ctx));
       PutStatus(w, OkStatus());
-      w.PutBytes(contents.value());
+      w.PutBytes(contents);
       return out;
     }
     case NfsProc::kCreate: {
@@ -282,34 +256,19 @@ StatusOr<Payload> NfsServer::Dispatch(ByteReader& r) {
       FICUS_ASSIGN_OR_RETURN(std::string name, r.GetString());
       VAttr requested;
       FICUS_RETURN_IF_ERROR(GetVAttr(r, requested));
-      auto dir = VnodeFor(handle);
-      if (!dir.ok()) {
-        return fail(dir.status());
-      }
-      auto child = dir.value()->Create(name, requested, ctx);
-      if (!child.ok()) {
-        return fail(child.status());
-      }
-      auto attr = child.value()->GetAttr(ctx);
-      if (!attr.ok()) {
-        return fail(attr.status());
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr dir, VnodeFor(handle));
+      FICUS_ASSIGN_OR_RETURN(VnodePtr child, dir->Create(name, requested, ctx));
+      FICUS_ASSIGN_OR_RETURN(VAttr attr, child->GetAttr(ctx));
       PutStatus(w, OkStatus());
-      w.PutU64(HandleFor(child.value()));
-      PutVAttr(w, attr.value());
+      w.PutU64(HandleFor(child));
+      PutVAttr(w, attr);
       return out;
     }
     case NfsProc::kRemove: {
       FICUS_ASSIGN_OR_RETURN(NfsHandle handle, r.GetU64());
       FICUS_ASSIGN_OR_RETURN(std::string name, r.GetString());
-      auto dir = VnodeFor(handle);
-      if (!dir.ok()) {
-        return fail(dir.status());
-      }
-      Status status = dir.value()->Remove(name, ctx);
-      if (!status.ok()) {
-        return fail(status);
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr dir, VnodeFor(handle));
+      FICUS_RETURN_IF_ERROR(dir->Remove(name, ctx));
       PutStatus(w, OkStatus());
       return out;
     }
@@ -318,34 +277,19 @@ StatusOr<Payload> NfsServer::Dispatch(ByteReader& r) {
       FICUS_ASSIGN_OR_RETURN(std::string name, r.GetString());
       VAttr requested;
       FICUS_RETURN_IF_ERROR(GetVAttr(r, requested));
-      auto dir = VnodeFor(handle);
-      if (!dir.ok()) {
-        return fail(dir.status());
-      }
-      auto child = dir.value()->Mkdir(name, requested, ctx);
-      if (!child.ok()) {
-        return fail(child.status());
-      }
-      auto attr = child.value()->GetAttr(ctx);
-      if (!attr.ok()) {
-        return fail(attr.status());
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr dir, VnodeFor(handle));
+      FICUS_ASSIGN_OR_RETURN(VnodePtr child, dir->Mkdir(name, requested, ctx));
+      FICUS_ASSIGN_OR_RETURN(VAttr attr, child->GetAttr(ctx));
       PutStatus(w, OkStatus());
-      w.PutU64(HandleFor(child.value()));
-      PutVAttr(w, attr.value());
+      w.PutU64(HandleFor(child));
+      PutVAttr(w, attr);
       return out;
     }
     case NfsProc::kRmdir: {
       FICUS_ASSIGN_OR_RETURN(NfsHandle handle, r.GetU64());
       FICUS_ASSIGN_OR_RETURN(std::string name, r.GetString());
-      auto dir = VnodeFor(handle);
-      if (!dir.ok()) {
-        return fail(dir.status());
-      }
-      Status status = dir.value()->Rmdir(name, ctx);
-      if (!status.ok()) {
-        return fail(status);
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr dir, VnodeFor(handle));
+      FICUS_RETURN_IF_ERROR(dir->Rmdir(name, ctx));
       PutStatus(w, OkStatus());
       return out;
     }
@@ -353,18 +297,9 @@ StatusOr<Payload> NfsServer::Dispatch(ByteReader& r) {
       FICUS_ASSIGN_OR_RETURN(NfsHandle dir_handle, r.GetU64());
       FICUS_ASSIGN_OR_RETURN(std::string name, r.GetString());
       FICUS_ASSIGN_OR_RETURN(NfsHandle target_handle, r.GetU64());
-      auto dir = VnodeFor(dir_handle);
-      if (!dir.ok()) {
-        return fail(dir.status());
-      }
-      auto target = VnodeFor(target_handle);
-      if (!target.ok()) {
-        return fail(target.status());
-      }
-      Status status = dir.value()->Link(name, target.value(), ctx);
-      if (!status.ok()) {
-        return fail(status);
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr dir, VnodeFor(dir_handle));
+      FICUS_ASSIGN_OR_RETURN(VnodePtr target, VnodeFor(target_handle));
+      FICUS_RETURN_IF_ERROR(dir->Link(name, target, ctx));
       PutStatus(w, OkStatus());
       return out;
     }
@@ -373,42 +308,27 @@ StatusOr<Payload> NfsServer::Dispatch(ByteReader& r) {
       FICUS_ASSIGN_OR_RETURN(std::string old_name, r.GetString());
       FICUS_ASSIGN_OR_RETURN(NfsHandle dst_handle, r.GetU64());
       FICUS_ASSIGN_OR_RETURN(std::string new_name, r.GetString());
-      auto src = VnodeFor(src_handle);
-      if (!src.ok()) {
-        return fail(src.status());
-      }
-      auto dst = VnodeFor(dst_handle);
-      if (!dst.ok()) {
-        return fail(dst.status());
-      }
-      Status status = src.value()->Rename(old_name, dst.value(), new_name, ctx);
-      if (!status.ok()) {
-        return fail(status);
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr src, VnodeFor(src_handle));
+      FICUS_ASSIGN_OR_RETURN(VnodePtr dst, VnodeFor(dst_handle));
+      FICUS_RETURN_IF_ERROR(src->Rename(old_name, dst, new_name, ctx));
       PutStatus(w, OkStatus());
       return out;
     }
     case NfsProc::kReaddir: {
       FICUS_ASSIGN_OR_RETURN(NfsHandle handle, r.GetU64());
       FICUS_ASSIGN_OR_RETURN(uint32_t cookie, r.GetU32());
-      auto dir = VnodeFor(handle);
-      if (!dir.ok()) {
-        return fail(dir.status());
-      }
-      auto entries = dir.value()->Readdir(ctx);
-      if (!entries.ok()) {
-        return fail(entries.status());
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr dir, VnodeFor(handle));
+      FICUS_ASSIGN_OR_RETURN(std::vector<vfs::DirEntry> entries, dir->Readdir(ctx));
       // One page starting at the cookie; the client loops until eof. The
       // cookie is an index into the (stable within one burst) listing —
       // the same weak-consistency contract real NFS readdir cookies have.
-      size_t total = entries.value().size();
+      size_t total = entries.size();
       size_t begin = std::min<size_t>(cookie, total);
       size_t end = std::min<size_t>(begin + kReaddirPageSize, total);
       PutStatus(w, OkStatus());
       w.PutU32(static_cast<uint32_t>(end - begin));
       for (size_t i = begin; i < end; ++i) {
-        const auto& e = entries.value()[i];
+        const auto& e = entries[i];
         w.PutString(e.name);
         w.PutU64(e.fileid);
         w.PutU8(static_cast<uint8_t>(e.type));
@@ -420,23 +340,17 @@ StatusOr<Payload> NfsServer::Dispatch(ByteReader& r) {
     case NfsProc::kReaddirPlus: {
       FICUS_ASSIGN_OR_RETURN(NfsHandle handle, r.GetU64());
       FICUS_ASSIGN_OR_RETURN(uint32_t cookie, r.GetU32());
-      auto dir = VnodeFor(handle);
-      if (!dir.ok()) {
-        return fail(dir.status());
-      }
-      auto rows = dir.value()->ReaddirPlus(ctx);
-      if (!rows.ok()) {
-        return fail(rows.status());
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr dir, VnodeFor(handle));
+      FICUS_ASSIGN_OR_RETURN(std::vector<vfs::DirEntryPlus> rows, dir->ReaddirPlus(ctx));
       // Same cookie contract as kReaddir: an index into the listing,
       // stable within one client burst.
-      size_t total = rows.value().size();
+      size_t total = rows.size();
       size_t begin = std::min<size_t>(cookie, total);
       size_t end = std::min<size_t>(begin + kReaddirPageSize, total);
       PutStatus(w, OkStatus());
       w.PutU32(static_cast<uint32_t>(end - begin));
       for (size_t i = begin; i < end; ++i) {
-        const auto& row = rows.value()[i];
+        const auto& row = rows[i];
         w.PutString(row.entry.name);
         w.PutU64(row.entry.fileid);
         w.PutU8(static_cast<uint8_t>(row.entry.type));
@@ -453,50 +367,29 @@ StatusOr<Payload> NfsServer::Dispatch(ByteReader& r) {
       FICUS_ASSIGN_OR_RETURN(NfsHandle handle, r.GetU64());
       FICUS_ASSIGN_OR_RETURN(std::string name, r.GetString());
       FICUS_ASSIGN_OR_RETURN(std::string target, r.GetString());
-      auto dir = VnodeFor(handle);
-      if (!dir.ok()) {
-        return fail(dir.status());
-      }
-      auto child = dir.value()->Symlink(name, target, ctx);
-      if (!child.ok()) {
-        return fail(child.status());
-      }
-      auto attr = child.value()->GetAttr(ctx);
-      if (!attr.ok()) {
-        return fail(attr.status());
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr dir, VnodeFor(handle));
+      FICUS_ASSIGN_OR_RETURN(VnodePtr child, dir->Symlink(name, target, ctx));
+      FICUS_ASSIGN_OR_RETURN(VAttr attr, child->GetAttr(ctx));
       PutStatus(w, OkStatus());
-      w.PutU64(HandleFor(child.value()));
-      PutVAttr(w, attr.value());
+      w.PutU64(HandleFor(child));
+      PutVAttr(w, attr);
       return out;
     }
     case NfsProc::kReadlink: {
       FICUS_ASSIGN_OR_RETURN(NfsHandle handle, r.GetU64());
-      auto vnode = VnodeFor(handle);
-      if (!vnode.ok()) {
-        return fail(vnode.status());
-      }
-      auto target = vnode.value()->Readlink(ctx);
-      if (!target.ok()) {
-        return fail(target.status());
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr vnode, VnodeFor(handle));
+      FICUS_ASSIGN_OR_RETURN(std::string target, vnode->Readlink(ctx));
       PutStatus(w, OkStatus());
-      w.PutString(target.value());
+      w.PutString(target);
       return out;
     }
     case NfsProc::kRead: {
       FICUS_ASSIGN_OR_RETURN(NfsHandle handle, r.GetU64());
       FICUS_ASSIGN_OR_RETURN(uint64_t offset, r.GetU64());
       FICUS_ASSIGN_OR_RETURN(uint32_t length, r.GetU32());
-      auto vnode = VnodeFor(handle);
-      if (!vnode.ok()) {
-        return fail(vnode.status());
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr vnode, VnodeFor(handle));
       std::vector<uint8_t> data;
-      auto count = vnode.value()->Read(offset, length, data, ctx);
-      if (!count.ok()) {
-        return fail(count.status());
-      }
+      FICUS_RETURN_IF_ERROR(vnode->Read(offset, length, data, ctx).status());
       PutStatus(w, OkStatus());
       w.PutBytes(data);
       return out;
@@ -505,42 +398,27 @@ StatusOr<Payload> NfsServer::Dispatch(ByteReader& r) {
       FICUS_ASSIGN_OR_RETURN(NfsHandle handle, r.GetU64());
       FICUS_ASSIGN_OR_RETURN(uint64_t offset, r.GetU64());
       FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> data, r.GetBytes());
-      auto vnode = VnodeFor(handle);
-      if (!vnode.ok()) {
-        return fail(vnode.status());
-      }
-      auto count = vnode.value()->Write(offset, data, ctx);
-      if (!count.ok()) {
-        return fail(count.status());
-      }
+      FICUS_ASSIGN_OR_RETURN(VnodePtr vnode, VnodeFor(handle));
+      FICUS_ASSIGN_OR_RETURN(size_t count, vnode->Write(offset, data, ctx));
       // NFS writes are synchronous through to stable storage.
-      Status synced = vnode.value()->Fsync(ctx);
-      if (!synced.ok()) {
-        return fail(synced);
-      }
-      auto attr = vnode.value()->GetAttr(ctx);
-      if (!attr.ok()) {
-        return fail(attr.status());
-      }
+      FICUS_RETURN_IF_ERROR(vnode->Fsync(ctx));
+      FICUS_ASSIGN_OR_RETURN(VAttr attr, vnode->GetAttr(ctx));
       PutStatus(w, OkStatus());
-      w.PutU32(static_cast<uint32_t>(count.value()));
-      PutVAttr(w, attr.value());
+      w.PutU32(static_cast<uint32_t>(count));
+      PutVAttr(w, attr);
       return out;
     }
     case NfsProc::kStatfs: {
-      auto stats = exported_->Statfs();
-      if (!stats.ok()) {
-        return fail(stats.status());
-      }
+      FICUS_ASSIGN_OR_RETURN(vfs::FsStats stats, exported_->Statfs());
       PutStatus(w, OkStatus());
-      w.PutU64(stats->total_blocks);
-      w.PutU64(stats->free_blocks);
-      w.PutU64(stats->total_inodes);
-      w.PutU64(stats->free_inodes);
+      w.PutU64(stats.total_blocks);
+      w.PutU64(stats.free_blocks);
+      w.PutU64(stats.total_inodes);
+      w.PutU64(stats.free_inodes);
       return out;
     }
   }
-  return fail(InvalidArgumentError("unknown NFS procedure"));
+  return InvalidArgumentError("unknown NFS procedure");
 }
 
 }  // namespace ficus::nfs

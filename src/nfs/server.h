@@ -69,6 +69,10 @@ class NfsServer {
   StatusOr<net::Payload> Serve(net::HostId sender, const net::Payload& request);
   // Runs the call `r` holds from its procedure number on.
   StatusOr<net::Payload> Dispatch(ByteReader& r);
+  // Decodes `proc`'s arguments from `r` and runs it. A non-ok result,
+  // whether the arguments failed to decode or the operation failed,
+  // becomes Dispatch's error reply.
+  StatusOr<net::Payload> Execute(NfsProc proc, ByteReader& r, const vfs::OpContext& ctx);
 
   // Returns the handle for a vnode, minting one if needed.
   NfsHandle HandleFor(const vfs::VnodePtr& vnode);

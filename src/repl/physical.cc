@@ -189,6 +189,14 @@ uint64_t HashBlocks(const uint8_t* data, size_t size, uint64_t* out) {
   return blocks;
 }
 
+// File block `block` of a new version for Ufs::RemapCommit: the `len`
+// bytes at `bytes` (a whole block, or the version's tail), zero-padded.
+ufs::RemapBlock RemapImage(uint64_t block, const uint8_t* bytes, size_t len) {
+  ufs::RemapBlock out{static_cast<uint32_t>(block), std::vector<uint8_t>(bytes, bytes + len)};
+  out.image.resize(kDeltaBlockSize, 0);
+  return out;
+}
+
 }  // namespace
 
 namespace {
@@ -818,9 +826,8 @@ Status PhysicalLayer::TruncateData(FileId file, uint64_t size) {
 }
 
 StatusOr<bool> PhysicalLayer::TryDeltaCommit(FileId file, const Location& loc,
-                                             const std::vector<uint8_t>& contents,
-                                             const VersionVector& vv,
-                                             const std::vector<uint64_t>& digests) {
+                                             uint64_t new_size, const DirtyBlocks& dirty,
+                                             const VersionVector& vv) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   auto ino_or = ufs_->DirLookup(loc.parent_dir, file.ToHex());
   if (!ino_or.ok()) {
@@ -828,29 +835,15 @@ StatusOr<bool> PhysicalLayer::TryDeltaCommit(FileId file, const Location& loc,
   }
   ufs::InodeNum ino = ino_or.value();
   FICUS_ASSIGN_OR_RETURN(ufs::Inode inode, ufs_->ReadInode(ino));
-  const uint64_t total_blocks = DeltaBlockCount(contents.size());
+  const uint64_t total_blocks = DeltaBlockCount(new_size);
   if (total_blocks != DeltaBlockCount(inode.size)) {
     return false;  // block count changes: whole-file rewrite territory
   }
-
-  // Dirty set: the incoming digests against this layer's own, read under
-  // the lock — never a caller-supplied dirty list or local side: a local
-  // write racing the propagation fetch would make either stale, and a
-  // stale one silently corrupts.
-  FICUS_ASSIGN_OR_RETURN(BlockDigestInfo local, ReadBlockDigests(file));
-  if (local.digests.size() != total_blocks) {
-    return false;
-  }
-  std::vector<uint32_t> dirty;
-  for (uint64_t b = 0; b < total_blocks; ++b) {
-    if (digests[b] != local.digests[b]) {
-      dirty.push_back(static_cast<uint32_t>(b));
-    }
-  }
+  FICUS_ASSIGN_OR_RETURN(std::vector<ufs::RemapBlock> remap, dirty());
   FICUS_ASSIGN_OR_RETURN(ReplicaAttributes attrs, LoadAttributes(file));
   attrs.vv = vv;
   attrs.mtime = Now();
-  if (dirty.empty() && contents.size() == inode.size) {
+  if (remap.empty() && new_size == inode.size) {
     // Same bytes, newer version vector (a propagation re-install): only
     // the attributes move, and that single store is already atomic —
     // whatever the file's size, and with or without a journal.
@@ -859,9 +852,8 @@ StatusOr<bool> PhysicalLayer::TryDeltaCommit(FileId file, const Location& loc,
     return true;
   }
   // The remaining gates only choose between the two commit paths.
-  if (!ufs_->journal_enabled() || contents.size() < options_.commit_min_bytes ||
-      total_blocks == 0 ||
-      static_cast<double>(dirty.size()) >
+  if (!ufs_->journal_enabled() || new_size < options_.commit_min_bytes || total_blocks == 0 ||
+      static_cast<double>(remap.size()) >
           options_.commit_max_dirty_frac * static_cast<double>(total_blocks)) {
     return false;  // small or mostly-rewritten file: shadow's sequential clone wins
   }
@@ -879,19 +871,7 @@ StatusOr<bool> PhysicalLayer::TryDeltaCommit(FileId file, const Location& loc,
     new_ext = &ext;  // rides the journaled inode image: contents+attrs atomic
   }
 
-  std::vector<ufs::RemapBlock> remap;
-  remap.reserve(dirty.size());
-  for (uint32_t b : dirty) {
-    ufs::RemapBlock rb;
-    rb.file_block = b;
-    size_t off = static_cast<size_t>(b) * kDeltaBlockSize;
-    size_t len = std::min<size_t>(kDeltaBlockSize, contents.size() - off);
-    rb.image.assign(contents.begin() + static_cast<std::ptrdiff_t>(off),
-                    contents.begin() + static_cast<std::ptrdiff_t>(off + len));
-    rb.image.resize(kDeltaBlockSize, 0);
-    remap.push_back(std::move(rb));
-  }
-  Status st = ufs_->RemapCommit(ino, remap, contents.size(), new_ext);
+  Status st = ufs_->RemapCommit(ino, remap, new_size, new_ext);
   if (st.code() == ErrorCode::kNotSupported) {
     return false;  // hole / redo-set overflow: the shadow path always works
   }
@@ -913,44 +893,10 @@ StatusOr<bool> PhysicalLayer::TryDeltaCommit(FileId file, const Location& loc,
   return true;
 }
 
-Status PhysicalLayer::InstallVersion(FileId file, const std::vector<uint8_t>& contents,
-                                     const VersionVector& vv) {
-  std::vector<uint64_t> digests(DeltaBlockCount(contents.size()));
-  stats_.digest_blocks_hashed->Add(HashBlocks(contents.data(), contents.size(), digests.data()));
-  return InstallVersion(file, contents, vv, std::move(digests));
-}
-
-Status PhysicalLayer::InstallVersion(FileId file, const std::vector<uint8_t>& contents,
-                                     const VersionVector& vv, std::vector<uint64_t> digests) {
+Status PhysicalLayer::ShadowCommit(FileId file, const Location& loc,
+                                   const std::vector<uint8_t>& contents,
+                                   const VersionVector& vv) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  FICUS_RETURN_IF_ERROR(CheckAttached());
-  FICUS_ASSIGN_OR_RETURN(Location loc, Find(file));
-  if (IsDirectoryLike(loc.type)) {
-    return IsDirError("InstallVersion applies to regular files only");
-  }
-  if (digests.size() != DeltaBlockCount(contents.size())) {
-    return InvalidArgumentError("incoming block digests do not cover the contents");
-  }
-  const uint64_t writes_before = ufs_->cache()->device()->stats().writes;
-  auto account = [&]() {
-    stats_.commit_bytes_written->Add(
-        (ufs_->cache()->device()->stats().writes - writes_before) *
-        storage::kBlockSize);
-  };
-
-  // Prefer the journal-backed block-remap commit: O(dirty blocks) device
-  // writes instead of the shadow clone's O(file size) (the paper's
-  // footnote-5 amplification, fixed by its section-7 wish of "putting a
-  // commit function into the storage layer").
-  FICUS_ASSIGN_OR_RETURN(bool delta_done, TryDeltaCommit(file, loc, contents, vv, digests));
-  if (delta_done) {
-    account();
-    stats_.commit_delta->Increment();
-    stats_.installs->Increment();
-    CacheDigests(file, CachedDigests{vv, contents.size(), std::move(digests)});
-    return OkStatus();
-  }
-
   std::string base = file.ToHex();
   std::string shadow = base + kShadowSuffix;
   digest_cache_.erase(file);
@@ -1013,11 +959,155 @@ Status PhysicalLayer::InstallVersion(FileId file, const std::vector<uint8_t>& co
   FICUS_ASSIGN_OR_RETURN(ReplicaAttributes attrs, LoadAttributes(file));
   attrs.vv = vv;
   attrs.mtime = Now();
-  FICUS_RETURN_IF_ERROR(StoreAttributes(file, attrs));
-  account();
-  stats_.commit_shadow->Increment();
+  return StoreAttributes(file, attrs);
+}
+
+void PhysicalLayer::NoteInstall(FileId file, bool remapped, uint64_t writes_before,
+                                CachedDigests installed) {
+  stats_.commit_bytes_written->Add((ufs_->cache()->device()->stats().writes - writes_before) *
+                                   storage::kBlockSize);
+  (remapped ? stats_.commit_delta : stats_.commit_shadow)->Increment();
   stats_.installs->Increment();
-  CacheDigests(file, CachedDigests{vv, contents.size(), std::move(digests)});
+  CacheDigests(file, std::move(installed));
+}
+
+StatusOr<PhysicalLayer::Location> PhysicalLayer::FindInstallable(FileId file) const {
+  FICUS_RETURN_IF_ERROR(CheckAttached());
+  FICUS_ASSIGN_OR_RETURN(Location loc, Find(file));
+  if (IsDirectoryLike(loc.type)) {
+    return IsDirError("an install applies to regular files only");
+  }
+  return loc;
+}
+
+Status PhysicalLayer::InstallContents(FileId file, const Location& loc,
+                                      const std::vector<uint8_t>& contents,
+                                      const VersionVector& vv) {
+  std::vector<uint64_t> digests(DeltaBlockCount(contents.size()));
+  stats_.digest_blocks_hashed->Add(HashBlocks(contents.data(), contents.size(), digests.data()));
+  // The dirty set: the incoming digests against this layer's own, read
+  // under the lock, never a caller's copy of the local side.
+  auto dirty = [&]() -> StatusOr<std::vector<ufs::RemapBlock>> {
+    FICUS_ASSIGN_OR_RETURN(BlockDigestInfo local, ReadBlockDigests(file));
+    std::vector<ufs::RemapBlock> remap;
+    for (size_t b = 0; b < digests.size(); ++b) {
+      if (b < local.digests.size() && digests[b] == local.digests[b]) {
+        continue;
+      }
+      const size_t off = b * kDeltaBlockSize;
+      remap.push_back(RemapImage(b, contents.data() + off,
+                                 std::min<size_t>(kDeltaBlockSize, contents.size() - off)));
+    }
+    return remap;
+  };
+  const uint64_t writes_before = ufs_->cache()->device()->stats().writes;
+  // Prefer the journal-backed block-remap commit: O(dirty blocks) device
+  // writes instead of the shadow clone's O(file size) (the paper's
+  // footnote-5 amplification, fixed by its section-7 wish of "putting a
+  // commit function into the storage layer").
+  FICUS_ASSIGN_OR_RETURN(bool remapped, TryDeltaCommit(file, loc, contents.size(), dirty, vv));
+  if (!remapped) {
+    FICUS_RETURN_IF_ERROR(ShadowCommit(file, loc, contents, vv));
+  }
+  NoteInstall(file, remapped, writes_before,
+              CachedDigests{vv, contents.size(), std::move(digests)});
+  return OkStatus();
+}
+
+Status PhysicalLayer::InstallVersion(FileId file, const std::vector<uint8_t>& contents,
+                                     const VersionVector& vv) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  FICUS_ASSIGN_OR_RETURN(Location loc, FindInstallable(file));
+  return InstallContents(file, loc, contents, vv);
+}
+
+Status PhysicalLayer::CheckPullBase(FileId file, const VersionVector& base_vv,
+                                    const BlockDigestInfo* base) {
+  FICUS_ASSIGN_OR_RETURN(ReplicaAttributes attrs, LoadAttributes(file));
+  if (attrs.vv.Compare(base_vv) != VectorOrder::kEqual) {
+    return BusyError("file " + file.ToString() + " was updated during the pull");
+  }
+  if (base != nullptr) {
+    FICUS_ASSIGN_OR_RETURN(BlockDigestInfo own, ReadBlockDigests(file));
+    if (own.file_size != base->file_size || own.digests != base->digests) {
+      return BusyError("file " + file.ToString() + " no longer holds the pull's base blocks");
+    }
+  }
+  return OkStatus();
+}
+
+Status PhysicalLayer::InstallPulled(FileId file, const VersionVector& base_vv,
+                                    const std::vector<uint8_t>& contents,
+                                    const VersionVector& vv) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  FICUS_ASSIGN_OR_RETURN(Location loc, FindInstallable(file));
+  FICUS_RETURN_IF_ERROR(CheckPullBase(file, base_vv, nullptr));
+  return InstallContents(file, loc, contents, vv);
+}
+
+Status PhysicalLayer::InstallPulled(FileId file, const VersionVector& base_vv,
+                                    const BlockDigestInfo& base, const BlockDigestInfo& remote,
+                                    const std::vector<FetchedRun>& runs,
+                                    const VersionVector& vv) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  FICUS_ASSIGN_OR_RETURN(Location loc, FindInstallable(file));
+  const uint64_t blocks = DeltaBlockCount(remote.file_size);
+  if (remote.digests.size() != blocks) {
+    return InvalidArgumentError("remote digests do not cover the remote size");
+  }
+  // Every block is either fetched, ending exactly where its run says, or
+  // one the base already holds at the remote's length and digest.
+  std::vector<const FetchedRun*> fetched(blocks, nullptr);
+  for (const FetchedRun& run : runs) {
+    const uint64_t off = run.first_block * kDeltaBlockSize;
+    const uint64_t end = off + run.bytes.size();
+    if (run.bytes.empty() || end > remote.file_size ||
+        (end % kDeltaBlockSize != 0 && end != remote.file_size)) {
+      return InvalidArgumentError("fetched run does not cover whole remote blocks");
+    }
+    for (uint64_t b = run.first_block; b < DeltaBlockCount(end); ++b) {
+      fetched[b] = &run;
+    }
+  }
+  for (uint64_t b = 0; b < blocks; ++b) {
+    if (fetched[b] == nullptr && !HoldsBlock(base, remote, b)) {
+      return InvalidArgumentError("a block that differs from the base was not fetched");
+    }
+  }
+  FICUS_RETURN_IF_ERROR(CheckPullBase(file, base_vv, &base));
+
+  // This replica still holds the base, so exactly the fetched blocks are
+  // dirty.
+  auto dirty = [&]() -> StatusOr<std::vector<ufs::RemapBlock>> {
+    std::vector<ufs::RemapBlock> remap;
+    for (uint64_t b = 0; b < blocks; ++b) {
+      if (fetched[b] == nullptr) {
+        continue;
+      }
+      const FetchedRun& run = *fetched[b];
+      const size_t off = (b - run.first_block) * kDeltaBlockSize;
+      remap.push_back(RemapImage(b, run.bytes.data() + off,
+                                 std::min<size_t>(kDeltaBlockSize, run.bytes.size() - off)));
+    }
+    return remap;
+  };
+  const uint64_t writes_before = ufs_->cache()->device()->stats().writes;
+  FICUS_ASSIGN_OR_RETURN(bool remapped, TryDeltaCommit(file, loc, remote.file_size, dirty, vv));
+  if (!remapped) {
+    // The shadow path needs whole contents: this replica's own bytes, cut
+    // or zero-extended to the remote size, with the runs laid over them.
+    FICUS_ASSIGN_OR_RETURN(ufs::InodeNum ino, DataInode(file));
+    FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> contents, ufs_->ReadAll(ino));
+    contents.resize(remote.file_size);
+    for (const FetchedRun& run : runs) {
+      std::copy(run.bytes.begin(), run.bytes.end(),
+                contents.begin() +
+                    static_cast<std::ptrdiff_t>(run.first_block * kDeltaBlockSize));
+    }
+    FICUS_RETURN_IF_ERROR(ShadowCommit(file, loc, contents, vv));
+  }
+  NoteInstall(file, remapped, writes_before,
+              CachedDigests{vv, remote.file_size, remote.digests});
   return OkStatus();
 }
 

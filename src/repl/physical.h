@@ -14,9 +14,11 @@
 //     parallels the logical name space, preserving the reference locality
 //     the UFS buffer cache exploits (section 2.6).
 //   * Update propagation installs new file contents via a shadow replica
-//     plus an atomic low-level directory repoint (section 3.2); crash
-//     before the repoint leaves the original intact, and Attach() runs
-//     the recovery sweep that discards stranded shadows.
+//     plus an atomic low-level directory repoint (section 3.2), or, for a
+//     few changed blocks of a large file, a journaled remap of just those
+//     blocks (the section-7 storage-layer commit); a crash before the
+//     commit point leaves the original intact, and Attach() runs the
+//     recovery sweep that discards stranded shadows.
 //
 // Volume-replica layout under one UFS directory ("the container"):
 //   volume.meta                       ids + file-id mint counter
@@ -48,7 +50,7 @@ namespace ficus::repl {
 struct PhysicalStats {
   uint64_t opens_noted = 0;
   uint64_t closes_noted = 0;
-  uint64_t installs = 0;              // shadow commits completed
+  uint64_t installs = 0;              // installs completed, on either commit path
   uint64_t entries_applied = 0;       // replayed entries that changed the entry set
   uint64_t name_conflicts_resolved = 0;
   uint64_t insert_delete_conflicts = 0;  // auto-repaired (liveness wins)
@@ -162,16 +164,36 @@ class PhysicalLayer : public PhysicalApi {
   Status TruncateData(FileId file, uint64_t size) override;
   Status InstallVersion(FileId file, const std::vector<uint8_t>& contents,
                         const VersionVector& vv) override;
-  // InstallVersion for a caller that already holds the incoming side of
-  // the commit's diff: `digests` must be the ContentHash of every
-  // kDeltaBlockSize block of `contents`, just verified against those exact
-  // bytes (the propagation daemon's delta-fetch verification pass), so the
-  // install hashes nothing. The local side of the diff always comes from
-  // this layer's own digests under its lock, so a local write racing the
-  // fetch is never missed. Deliberately not part of PhysicalApi: digests
-  // that crossed a wire are a claim, not a verification.
-  Status InstallVersion(FileId file, const std::vector<uint8_t>& contents,
-                        const VersionVector& vv, std::vector<uint64_t> digests);
+
+  // --- pulls (the propagation daemon's and the reconciler's installs) ---
+  // A pull decides against this replica's version vector, `base_vv`, then
+  // fetches. InstallPulled installs the pulled version `vv` only over that
+  // base: under the layer's lock and before writing anything, it returns
+  // kBusy unless the replica's vector still equals `base_vv`, so a local
+  // update that landed during the fetch is never overwritten; the caller
+  // decides again. Neither form is part of PhysicalApi: what they trust
+  // the caller with, a peer on the wire could only claim.
+  //
+  // Whole-file form: `contents` are the pulled version's bytes.
+  Status InstallPulled(FileId file, const VersionVector& base_vv,
+                       const std::vector<uint8_t>& contents, const VersionVector& vv);
+  // One run of consecutive blocks a delta pull fetched, from block
+  // `first_block` on: whole kDeltaBlockSize blocks, the last one cut at
+  // the pulled version's end.
+  struct FetchedRun {
+    uint64_t first_block = 0;
+    std::vector<uint8_t> bytes;
+  };
+  // Delta form. `base` holds this replica's block digests the pull diffed
+  // against, and kBusy also answers a replica whose own digests no longer
+  // equal them. `remote` is the pulled version's size and block digests;
+  // `runs` cover every block whose digest or length differs from `base`,
+  // each already hashed against `remote` by the caller, so this layer
+  // hashes nothing and reads no block it does not replace, unless the
+  // block-remap commit declines and the shadow path needs whole contents.
+  Status InstallPulled(FileId file, const VersionVector& base_vv, const BlockDigestInfo& base,
+                       const BlockDigestInfo& remote, const std::vector<FetchedRun>& runs,
+                       const VersionVector& vv);
   StatusOr<std::vector<FicusDirEntry>> ReadDirectory(FileId dir) override;
   StatusOr<std::vector<DirEntryPlus>> ReadDirPlus(FileId dir) override;
   // CreateChildren of one name.
@@ -254,6 +276,8 @@ class PhysicalLayer : public PhysicalApi {
   Status CorruptDigestForTest(FileId dir);
 
   PhysicalStats stats() const;
+  // The registry this layer counts into (the borrowed one, else its own).
+  MetricRegistry& metrics() { return *registry_; }
 
   // Lists every file-id this replica stores (tests / reconciler sweep).
   std::vector<FileId> StoredFiles() const;
@@ -268,17 +292,33 @@ class PhysicalLayer : public PhysicalApi {
   SimTime Now() const { return clock_ != nullptr ? clock_->Now() : 0; }
   Status CheckAttached() const;
 
-  // Attempts the journal-backed block-remap commit for InstallVersion.
-  // Returns true when the install completed on the delta path, false when
-  // the caller should fall back to the shadow-file commit (gates unmet,
-  // no journal, attribute spill, ...). Errors propagate without fallback:
-  // after a failed write the image must be left as the failure left it.
-  // `digests` are the incoming contents' block digests (InstallVersion's
-  // contract); the dirty set is their diff against this layer's own.
-  StatusOr<bool> TryDeltaCommit(FileId file, const Location& loc,
-                                const std::vector<uint8_t>& contents,
-                                const VersionVector& vv,
-                                const std::vector<uint64_t>& digests);
+  // The image of every block of a new version that differs from the
+  // bytes on disk, each zero-padded to a whole block.
+  using DirtyBlocks = std::function<StatusOr<std::vector<ufs::RemapBlock>>()>;
+
+  // Attempts the journal-backed block-remap commit of a new version of
+  // `file`, `new_size` bytes long. `dirty` runs under the lock, once the
+  // block count is known to be unchanged. Returns true when the install
+  // completed on the delta path, false when the caller should fall back
+  // to the shadow-file commit (gates unmet, no journal, attribute spill,
+  // ...). Errors propagate without fallback: after a failed write the
+  // image must be left as the failure left it.
+  StatusOr<bool> TryDeltaCommit(FileId file, const Location& loc, uint64_t new_size,
+                                const DirtyBlocks& dirty, const VersionVector& vv);
+  // The paper's commit (section 3.2): the whole of `contents` into a
+  // shadow replica, then one directory repoint.
+  Status ShadowCommit(FileId file, const Location& loc, const std::vector<uint8_t>& contents,
+                      const VersionVector& vv);
+  // Installs `contents` as version `vv`, remapping the blocks whose
+  // digests differ from this layer's own when TryDeltaCommit allows.
+  Status InstallContents(FileId file, const Location& loc,
+                         const std::vector<uint8_t>& contents, const VersionVector& vv);
+  // Location of `file`, which must be a regular file or symlink.
+  StatusOr<Location> FindInstallable(FileId file) const;
+  // kBusy unless `file` is still the replica a pull decided against: its
+  // version vector equals `base_vv` and, when `base` is given, its block
+  // digests equal `*base`. Reads only.
+  Status CheckPullBase(FileId file, const VersionVector& base_vv, const BlockDigestInfo* base);
 
   // The client update paths (WriteData, TruncateData, WriteLink): runs
   // `mutate` on the data file, whose bytes from `lo` up to `hi` (and from
@@ -407,6 +447,10 @@ class PhysicalLayer : public PhysicalApi {
   };
   // Inserts or replaces `file`'s entry, evicting another at capacity.
   void CacheDigests(FileId file, CachedDigests entry);
+  // Counts an install that completed on the delta path (`remapped`) or
+  // the shadow path, with the device writes since `writes_before`, and
+  // caches the installed version's digests.
+  void NoteInstall(FileId file, bool remapped, uint64_t writes_before, CachedDigests installed);
   // Brings `entry`, valid before an update, up to date with the bytes now
   // on disk by rehashing the blocks overlapping [lo, hi); stamps it with
   // `vv` and caches it.

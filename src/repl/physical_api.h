@@ -11,6 +11,7 @@
 #ifndef FICUS_SRC_REPL_PHYSICAL_API_H_
 #define FICUS_SRC_REPL_PHYSICAL_API_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,15 @@ struct BlockDigestInfo {
   uint64_t file_size = 0;
   std::vector<uint64_t> digests;
 };
+
+// Whether `have` already holds block `i` of `want`: a block of the same
+// length with the same digest.
+inline bool HoldsBlock(const BlockDigestInfo& have, const BlockDigestInfo& want, uint64_t i) {
+  const uint64_t off = i * kDeltaBlockSize;
+  return i < have.digests.size() && have.digests[i] == want.digests[i] &&
+         std::min<uint64_t>(kDeltaBlockSize, have.file_size - off) ==
+             std::min<uint64_t>(kDeltaBlockSize, want.file_size - off);
+}
 
 // One row of a BatchGetAttributes response. `attrs` is meaningful only
 // when `status` is ok (a file can be missing at the source while its

@@ -1,6 +1,7 @@
 #include "src/repl/propagation.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/common/backoff.h"
 
@@ -14,7 +15,7 @@ PropagationDaemon::PropagationDaemon(PhysicalLayer* local, ReplicaResolver* reso
       log_(log),
       clock_(clock),
       config_(config),
-      registry_(metrics != nullptr ? metrics : &owned_registry_) {
+      registry_(metrics != nullptr ? metrics : &local->metrics()) {
   stats_.runs = registry_->counter("repl.propagation.runs");
   stats_.pulled_files = registry_->counter("repl.propagation.pulled_files");
   stats_.reconciled_dirs = registry_->counter("repl.propagation.reconciled_dirs");
@@ -30,6 +31,7 @@ PropagationDaemon::PropagationDaemon(PhysicalLayer* local, ReplicaResolver* reso
   stats_.whole_file_fallbacks = registry_->counter("repl.prop.delta.whole_file_fallbacks");
   stats_.batched_probes = registry_->counter("repl.prop.delta.batched_probes");
   stats_.apply_bytes_written = registry_->counter("repl.prop.apply.bytes_written");
+  stats_.delta_blocks_verified = registry_->counter("repl.prop.delta.blocks_verified");
 }
 
 PropagationStats PropagationDaemon::stats() const {
@@ -143,6 +145,12 @@ Status PropagationDaemon::RunOnce() {
         continue;
       }
       Status status = Propagate(entry, probed);
+      if (status.code() == ErrorCode::kBusy) {
+        // Local updates moved the file under two pulls in a row: the
+        // entry waits for the next pass and is charged no retry budget.
+        local_->RestoreNewVersion(entry);
+        continue;
+      }
       if (status.code() == ErrorCode::kUnreachable ||
           status.code() == ErrorCode::kTimedOut) {
         RetryState& state = retries_[entry.id];
@@ -219,47 +227,60 @@ Status PropagationDaemon::Propagate(const NewVersionEntry& entry,
   } else {
     FICUS_ASSIGN_OR_RETURN(remote_attrs, source->GetAttributes(file));
   }
+  Status status = PullFile(entry, source, local_attrs, remote_attrs);
+  if (status.code() == ErrorCode::kBusy) {
+    // A local update landed during the fetch and the install refused to
+    // overwrite it. Decide once more from fresh local attributes: that
+    // update is now concurrent with the remote version, a conflict.
+    FICUS_ASSIGN_OR_RETURN(local_attrs, local_->GetAttributes(file));
+    status = PullFile(entry, source, local_attrs, remote_attrs);
+  }
+  return status;
+}
+
+Status PropagationDaemon::PullFile(const NewVersionEntry& entry, PhysicalApi* source,
+                                   const ReplicaAttributes& local_attrs,
+                                   const ReplicaAttributes& remote_attrs) {
+  FileId file = entry.id.file;
   switch (remote_attrs.vv.Compare(local_attrs.vv)) {
     case VectorOrder::kEqual:
     case VectorOrder::kDominatedBy:
       stats_.skipped_current->Increment();
       return OkStatus();
     case VectorOrder::kDominates: {
-      Fetched fetched;
-      bool delta_done = false;
+      std::optional<DeltaFetch> delta;
       if (config_.delta_enabled) {
-        auto delta = TryDeltaFetch(file, source);
-        if (delta.ok()) {
-          fetched = std::move(delta).value();
-          delta_done = true;
-        } else if (delta.status().code() == ErrorCode::kUnreachable ||
-                   delta.status().code() == ErrorCode::kTimedOut) {
-          return delta.status();
+        auto fetched = TryDeltaFetch(file, source);
+        if (fetched.ok()) {
+          delta = std::move(fetched).value();
+        } else if (fetched.status().code() == ErrorCode::kUnreachable ||
+                   fetched.status().code() == ErrorCode::kTimedOut) {
+          return fetched.status();
         } else {
           stats_.whole_file_fallbacks->Increment();
         }
       }
-      if (!delta_done) {
-        FICUS_ASSIGN_OR_RETURN(fetched.contents, source->ReadAllData(file));
-        fetched.fetched_bytes = fetched.contents.size();
+      std::vector<uint8_t> contents;
+      if (!delta.has_value()) {
+        FICUS_ASSIGN_OR_RETURN(contents, source->ReadAllData(file));
       }
       // Measure the install's local device writes: with delta fetch AND
       // delta commit this stays O(dirty blocks) while the file grows.
       const uint64_t commit_bytes_before = local_->stats().commit_bytes_written;
-      // A delta fetch hands over the digests it just verified against
-      // these exact bytes, so the install hashes nothing; whole-file pulls
-      // leave the hashing to the install.
       FICUS_RETURN_IF_ERROR(
-          delta_done ? local_->InstallVersion(file, fetched.contents, remote_attrs.vv,
-                                              std::move(fetched.digests))
-                     : local_->InstallVersion(file, fetched.contents, remote_attrs.vv));
+          delta.has_value()
+              ? local_->InstallPulled(file, local_attrs.vv, delta->base, delta->remote,
+                                      delta->runs, remote_attrs.vv)
+              : local_->InstallPulled(file, local_attrs.vv, contents, remote_attrs.vv));
       stats_.apply_bytes_written->Add(local_->stats().commit_bytes_written -
                                       commit_bytes_before);
       FICUS_RETURN_IF_ERROR(local_->SetConflict(file, remote_attrs.conflict));
       stats_.pulled_files->Increment();
-      stats_.bytes_pulled->Add(fetched.fetched_bytes);
-      if (delta_done) {
-        stats_.delta_bytes_saved->Add(fetched.contents.size() - fetched.fetched_bytes);
+      if (delta.has_value()) {
+        stats_.bytes_pulled->Add(delta->fetched_bytes);
+        stats_.delta_bytes_saved->Add(delta->remote.file_size - delta->fetched_bytes);
+      } else {
+        stats_.bytes_pulled->Add(contents.size());
       }
       return OkStatus();
     }
@@ -284,8 +305,8 @@ Status PropagationDaemon::Propagate(const NewVersionEntry& entry,
   return InternalError("unreachable vector order");
 }
 
-StatusOr<PropagationDaemon::Fetched> PropagationDaemon::TryDeltaFetch(FileId file,
-                                                                      PhysicalApi* source) {
+StatusOr<PropagationDaemon::DeltaFetch> PropagationDaemon::TryDeltaFetch(FileId file,
+                                                                         PhysicalApi* source) {
   // Local size gate first — it costs no network round trip. A local copy
   // below the threshold shares too little with any remote version for
   // the digest exchange to pay off.
@@ -293,7 +314,9 @@ StatusOr<PropagationDaemon::Fetched> PropagationDaemon::TryDeltaFetch(FileId fil
   if (local_size < config_.delta_min_bytes) {
     return InvalidArgumentError("local copy below delta threshold");
   }
-  FICUS_ASSIGN_OR_RETURN(BlockDigestInfo remote, source->ReadBlockDigests(file));
+  DeltaFetch fetch;
+  FICUS_ASSIGN_OR_RETURN(fetch.remote, source->ReadBlockDigests(file));
+  const BlockDigestInfo& remote = fetch.remote;
   if (remote.file_size < config_.delta_min_bytes) {
     return InvalidArgumentError("remote version below delta threshold");
   }
@@ -301,26 +324,20 @@ StatusOr<PropagationDaemon::Fetched> PropagationDaemon::TryDeltaFetch(FileId fil
     return InvalidArgumentError("remote digests do not cover the remote size");
   }
   // The local side comes from the layer's maintained digest cache, not
-  // from hashing a copy here.
-  FICUS_ASSIGN_OR_RETURN(BlockDigestInfo local, local_->ReadBlockDigests(file));
-  FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> local_data, local_->ReadAllData(file));
-  if (local_data.size() != local.file_size) {
-    return CorruptError("local copy changed during delta fetch");
-  }
+  // from hashing a copy here. It is the pull's base: the install checks,
+  // under the layer's lock, that the replica still holds exactly these
+  // blocks, so a local write racing the fetch is refused, not overwritten.
+  FICUS_ASSIGN_OR_RETURN(fetch.base, local_->ReadBlockDigests(file));
+  const BlockDigestInfo& local = fetch.base;
 
   // Which remote blocks do we already hold? Digests are length-seeded, so
   // a matching digest implies matching length and (with 64-bit strength)
-  // matching bytes. A local write racing between the digest and data
-  // reads is caught by the verification pass below.
+  // matching bytes.
   size_t blocks = remote.digests.size();
   std::vector<bool> need(blocks, false);
   size_t need_count = 0;
   for (size_t i = 0; i < blocks; ++i) {
-    uint64_t off = static_cast<uint64_t>(i) * kDeltaBlockSize;
-    bool same = i < local.digests.size() && local.digests[i] == remote.digests[i] &&
-                std::min<uint64_t>(kDeltaBlockSize, local.file_size - off) ==
-                    std::min<uint64_t>(kDeltaBlockSize, remote.file_size - off);
-    if (!same) {
+    if (!HoldsBlock(local, remote, i)) {
       need[i] = true;
       ++need_count;
     }
@@ -330,12 +347,9 @@ StatusOr<PropagationDaemon::Fetched> PropagationDaemon::TryDeltaFetch(FileId fil
     return InvalidArgumentError("delta would transfer most of the file");
   }
 
-  // Assemble in place over the local copy, cut or zero-extended to the
-  // remote size: it already holds every unchanged block, and one ranged
-  // read per contiguous run of differing blocks overwrites the rest.
-  std::vector<uint8_t> out = std::move(local_data);
-  out.resize(remote.file_size);
-  uint64_t fetched = 0;
+  // One ranged read per contiguous run of differing blocks. Every fetched
+  // block must reproduce its remote digest, or the source changed between
+  // the digest and data reads; no other block is read or hashed here.
   for (size_t i = 0; i < blocks;) {
     if (!need[i]) {
       ++i;
@@ -355,24 +369,20 @@ StatusOr<PropagationDaemon::Fetched> PropagationDaemon::TryDeltaFetch(FileId fil
       // the whole-file path take over.
       return CorruptError("short ranged read during delta fetch");
     }
-    std::copy(piece.begin(), piece.end(), out.begin() + static_cast<ptrdiff_t>(off));
-    fetched += len;
     stats_.delta_blocks_fetched->Add(j - i);
+    for (size_t b = i; b < j; ++b) {
+      size_t at = (b - i) * kDeltaBlockSize;
+      stats_.delta_blocks_verified->Increment();
+      if (ContentHash(piece.data() + at, std::min<size_t>(kDeltaBlockSize, piece.size() - at)) !=
+          remote.digests[b]) {
+        return CorruptError("fetched block fails digest verification");
+      }
+    }
+    fetch.fetched_bytes += len;
+    fetch.runs.push_back(PhysicalLayer::FetchedRun{i, std::move(piece)});
     i = j;
   }
-
-  // Verification pass, the one full-file hash on this side: the assembled
-  // contents must reproduce the remote digests exactly, or the source
-  // raced an update between our reads. Once it passes, those digests are
-  // verified for exactly these bytes and may ride into the install.
-  for (size_t i = 0; i < blocks; ++i) {
-    uint64_t off = static_cast<uint64_t>(i) * kDeltaBlockSize;
-    uint64_t len = std::min<uint64_t>(kDeltaBlockSize, remote.file_size - off);
-    if (ContentHash(out.data() + off, static_cast<size_t>(len)) != remote.digests[i]) {
-      return CorruptError("assembled delta fails digest verification");
-    }
-  }
-  return Fetched{std::move(out), fetched, std::move(remote.digests)};
+  return fetch;
 }
 
 PropagationWorker::PropagationWorker(PropagationDaemon* daemon)

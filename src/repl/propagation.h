@@ -6,7 +6,10 @@
 // it "deems it appropriate to expend the effort" — here, when RunOnce() is
 // called, optionally gated by a minimum age so bursty updates coalesce —
 // it pulls the newer version from the advertising replica:
-//   * regular file, remote strictly newer  -> shadow-commit install;
+//   * regular file, remote strictly newer  -> fetch the blocks that differ
+//                                             (or the whole file) and
+//                                             install them only over the
+//                                             local version compared;
 //   * regular file, concurrent             -> conflict flag + owner report;
 //   * directory                            -> directory reconciliation
 //                                             (contents cannot be copied,
@@ -73,9 +76,9 @@ struct PropagationConfig {
   // replica (section 3.3). 0 = never drop.
   uint32_t retry_budget = 0;
   // Delta pulls: compare per-block digests with the source and fetch only
-  // the differing blocks, assembling the rest from the local copy. Falls
-  // back to a whole-file transfer for small files, unavailable digests,
-  // or when the delta would not pay for itself.
+  // the differing blocks; the local replica keeps every other block.
+  // Falls back to a whole-file transfer for small files, unavailable
+  // digests, or when the delta would not pay for itself.
   bool delta_enabled = true;
   // Files smaller than this always go whole-file (the digest round trip
   // would cost more than it saves).
@@ -92,7 +95,8 @@ inline constexpr double kDeltaMaxDiff = 0.5;
 class PropagationDaemon {
  public:
   // `metrics` (borrowed, optional) receives the `repl.propagation.*`
-  // counters; without one the daemon keeps them in a private registry.
+  // counters; without one they land in `local`'s registry, beside the
+  // counters of the replica the daemon keeps current.
   PropagationDaemon(PhysicalLayer* local, ReplicaResolver* resolver, ConflictLog* log,
                     const Clock* clock, PropagationConfig config = PropagationConfig{},
                     MetricRegistry* metrics = nullptr);
@@ -126,6 +130,9 @@ class PropagationDaemon {
     Counter* whole_file_fallbacks;
     Counter* batched_probes;
     Counter* apply_bytes_written;
+    // Registry-only (`repl.prop.delta.blocks_verified`): fetched blocks
+    // hashed against the source's digests, the daemon's only hashing.
+    Counter* delta_blocks_verified;
   };
 
   // Backoff bookkeeping for an entry whose source keeps failing.
@@ -138,34 +145,40 @@ class PropagationDaemon {
 
   // `probed` holds attributes prefetched by the pass's batched probe
   // phase, keyed by global file id; entries not in it fall back to a
-  // per-file GetAttributes round trip.
+  // per-file GetAttributes round trip. kBusy means a local update moved
+  // the file under two pulls in a row; the entry waits for the next pass.
   Status Propagate(const NewVersionEntry& entry,
                    const std::map<GlobalFileId, ReplicaAttributes>& probed);
 
-  // A pulled version: the whole new contents, the payload bytes that
-  // actually crossed the wire, and — after a delta fetch — the block
-  // digests the verification pass checked against `contents`.
-  struct Fetched {
-    std::vector<uint8_t> contents;
+  // Compares the local regular file at `local_attrs` with the source's
+  // `remote_attrs` and acts: skip, pull, or flag the conflict. A pull
+  // installs only over `local_attrs.vv` and returns kBusy, having
+  // written nothing, when a local update moved the file meanwhile.
+  Status PullFile(const NewVersionEntry& entry, PhysicalApi* source,
+                  const ReplicaAttributes& local_attrs, const ReplicaAttributes& remote_attrs);
+
+  // A delta fetch: the local block digests it diffed against, the remote
+  // size and digests, and the runs of blocks that differ, each hashed
+  // against the remote digests.
+  struct DeltaFetch {
+    BlockDigestInfo base;
+    BlockDigestInfo remote;
+    std::vector<PhysicalLayer::FetchedRun> runs;
     uint64_t fetched_bytes = 0;
-    std::vector<uint64_t> digests;
   };
 
-  // Pulls the remote version's bytes via block deltas: compares the
-  // remote digests against the local layer's own and fetches only
-  // differing block runs, assembling the rest from the local copy. Then
-  // hashes the assembled contents once to verify them against the remote
-  // digests. A non-ok result means "fall back to a whole-file read"
-  // unless its code is kUnreachable/kTimedOut, which the caller must
-  // surface to the retry machinery.
-  StatusOr<Fetched> TryDeltaFetch(FileId file, PhysicalApi* source);
+  // Compares the remote digests against the local layer's own and fetches
+  // only the differing block runs, hashing each fetched block against
+  // its remote digest. A non-ok result means "fall back to a whole-file
+  // read" unless its code is kUnreachable/kTimedOut, which the caller
+  // must surface to the retry machinery.
+  StatusOr<DeltaFetch> TryDeltaFetch(FileId file, PhysicalApi* source);
 
   PhysicalLayer* local_;
   ReplicaResolver* resolver_;
   ConflictLog* log_;
   const Clock* clock_;
   PropagationConfig config_;
-  MetricRegistry owned_registry_;
   MetricRegistry* registry_;
   StatCells stats_;
   std::atomic<TraceId> last_trace_{0};

@@ -140,41 +140,52 @@ Status Reconciler::ReconcileFile(FileId file, PhysicalApi* remote) {
 
 Status Reconciler::ReconcileFileWithAttrs(FileId file, PhysicalApi* remote,
                                           const ReplicaAttributes& remote_attrs) {
-  FICUS_ASSIGN_OR_RETURN(ReplicaAttributes local_attrs, local_->GetAttributes(file));
-  switch (remote_attrs.vv.Compare(local_attrs.vv)) {
-    case VectorOrder::kEqual:
-    case VectorOrder::kDominatedBy:
-      return OkStatus();
-    case VectorOrder::kDominates: {
-      CountRemoteCall();
-      FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> contents, remote->ReadAllData(file));
-      FICUS_RETURN_IF_ERROR(local_->InstallVersion(file, contents, remote_attrs.vv));
-      // A strictly newer version subsumes whatever the conflict flag was
-      // complaining about only if the remote resolved it; propagate the
-      // remote's flag rather than guessing.
-      FICUS_RETURN_IF_ERROR(local_->SetConflict(file, remote_attrs.conflict));
-      ++stats_.files_pulled;
-      return OkStatus();
-    }
-    case VectorOrder::kConcurrent: {
-      FICUS_RETURN_IF_ERROR(local_->SetConflict(file, true));
-      ++stats_.files_in_conflict;
-      if (log_ != nullptr) {
-        ConflictRecord record;
-        record.kind = ConflictKind::kFileUpdate;
-        record.id = GlobalFileId{local_->volume_id(), file};
-        record.local_replica = local_->replica_id();
-        record.remote_replica = remote->replica_id();
-        record.local_vv = local_attrs.vv;
-        record.remote_vv = remote_attrs.vv;
-        record.detected_at = Now();
-        record.detail = "concurrent updates to regular file; owner must resolve";
-        log_->Report(std::move(record));
+  // A pull installs only over the local version it compared against: a
+  // local update that lands while the remote bytes are read refuses it
+  // with kBusy. Compare once more, and that update becomes the conflict it
+  // is; a second refusal leaves the file to the next pass.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    FICUS_ASSIGN_OR_RETURN(ReplicaAttributes local_attrs, local_->GetAttributes(file));
+    switch (remote_attrs.vv.Compare(local_attrs.vv)) {
+      case VectorOrder::kEqual:
+      case VectorOrder::kDominatedBy:
+        return OkStatus();
+      case VectorOrder::kDominates: {
+        CountRemoteCall();
+        FICUS_ASSIGN_OR_RETURN(std::vector<uint8_t> contents, remote->ReadAllData(file));
+        Status installed = local_->InstallPulled(file, local_attrs.vv, contents, remote_attrs.vv);
+        if (installed.code() == ErrorCode::kBusy) {
+          continue;
+        }
+        FICUS_RETURN_IF_ERROR(installed);
+        // A strictly newer version subsumes whatever the conflict flag was
+        // complaining about only if the remote resolved it; propagate the
+        // remote's flag rather than guessing.
+        FICUS_RETURN_IF_ERROR(local_->SetConflict(file, remote_attrs.conflict));
+        ++stats_.files_pulled;
+        return OkStatus();
       }
-      return OkStatus();
+      case VectorOrder::kConcurrent: {
+        FICUS_RETURN_IF_ERROR(local_->SetConflict(file, true));
+        ++stats_.files_in_conflict;
+        if (log_ != nullptr) {
+          ConflictRecord record;
+          record.kind = ConflictKind::kFileUpdate;
+          record.id = GlobalFileId{local_->volume_id(), file};
+          record.local_replica = local_->replica_id();
+          record.remote_replica = remote->replica_id();
+          record.local_vv = local_attrs.vv;
+          record.remote_vv = remote_attrs.vv;
+          record.detected_at = Now();
+          record.detail = "concurrent updates to regular file; owner must resolve";
+          log_->Report(std::move(record));
+        }
+        return OkStatus();
+      }
     }
+    return InternalError("unreachable vector order");
   }
-  return InternalError("unreachable vector order");
+  return OkStatus();
 }
 
 Status Reconciler::ReconcileSubtree(FileId root, ReplicaId remote_replica) {

@@ -135,7 +135,15 @@ TEST_F(ProtocolRobustnessTest, TruncatedArgumentsRejected) {
   PutContext(w, vfs::OpContext{});
   w.PutU64(1);
   request.push_back(0x05);  // half of a u16 length
+  const uint64_t errors_before = server_->stats().errors;
   EXPECT_FALSE(SendRaw(Framed(request)).ok());
+  EXPECT_EQ(server_->stats().errors - errors_before, 1u);
+  // The call itself succeeds: it carries an NFS error reply, like any
+  // other failed request.
+  auto response = network_.Rpc(client_host_, server_host_, kNfsService, Framed(request));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ByteReader r(response.value());
+  EXPECT_EQ(ReadWireStatus(r).code(), ErrorCode::kCorrupt);
   ExpectCanaryIntact();
 }
 

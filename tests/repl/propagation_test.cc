@@ -2,16 +2,56 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "tests/repl/replica_fixture.h"
 
 namespace ficus::repl {
 namespace {
 
+// A physical layer whose next data read first runs a one-shot hook: it
+// stands in for whatever else happens while a peer's pull is in flight.
+class HookedLayer : public PhysicalLayer {
+ public:
+  using PhysicalLayer::PhysicalLayer;
+
+  void BeforeNextRead(std::function<void()> hook) { hook_ = std::move(hook); }
+
+  StatusOr<std::vector<uint8_t>> ReadData(FileId file, uint64_t offset,
+                                          uint32_t length) override {
+    RunHook();
+    return PhysicalLayer::ReadData(file, offset, length);
+  }
+  StatusOr<std::vector<uint8_t>> ReadAllData(FileId file) override {
+    RunHook();
+    return PhysicalLayer::ReadAllData(file);
+  }
+
+ private:
+  void RunHook() {
+    std::function<void()> hook = std::move(hook_);
+    hook_ = nullptr;
+    if (hook) {
+      hook();
+    }
+  }
+
+  std::function<void()> hook_;
+};
+
+std::unique_ptr<PhysicalLayer> MakeHookedLayer(ufs::Ufs* ufs, const SimClock* clock,
+                                               MetricRegistry* metrics) {
+  return std::make_unique<HookedLayer>(ufs, clock, PhysicalOptions{}, metrics);
+}
+
 class PropagationTest : public ReplicaFixture {
  protected:
-  PropagationTest() : ReplicaFixture(2) {
+  PropagationTest() : ReplicaFixture(2, MakeHookedLayer) {
     daemon1_ = std::make_unique<PropagationDaemon>(layer(1), &resolver_, &log_, &clock_);
   }
+
+  HookedLayer* source() { return static_cast<HookedLayer*>(layer(0)); }
 
   // Creates a file known to both replicas and returns its id.
   FileId SharedFile() {
@@ -27,6 +67,63 @@ class PropagationTest : public ReplicaFixture {
     auto attrs = layer(0)->GetAttributes(file);
     EXPECT_TRUE(attrs.ok());
     layer(1)->NoteNewVersion(GlobalFileId{VolumeId{1, 1}, file}, attrs->vv, 1);
+  }
+
+  // A file of `size` bytes of 'x' both replicas hold, whose block 1 the
+  // source then rewrites with 'y': the puller is one block behind. The
+  // source's block digests are warm, as a peer's usually are.
+  FileId SharedFileOneBlockBehind(uint64_t size) {
+    FileId file = SharedFile();
+    EXPECT_TRUE(layer(0)->WriteData(file, 0, std::vector<uint8_t>(size, 'x')).ok());
+    ReconcileAll();
+    EXPECT_TRUE(
+        layer(0)->WriteData(file, kDeltaBlockSize, std::vector<uint8_t>(kDeltaBlockSize, 'y'))
+            .ok());
+    EXPECT_TRUE(layer(0)->ReadBlockDigests(file).ok());
+    return file;
+  }
+
+  // Arms the source's next data read to write 4 KiB of 'L' at block 3 of
+  // the puller's copy first; `after` receives the puller's vector then.
+  void RaceALocalWrite(FileId file, VersionVector* after) {
+    source()->BeforeNextRead([this, file, after] {
+      ASSERT_TRUE(
+          layer(1)
+              ->WriteData(file, 3 * kDeltaBlockSize, std::vector<uint8_t>(kDeltaBlockSize, 'L'))
+              .ok());
+      *after = layer(1)->GetAttributes(file)->vv;
+    });
+  }
+
+  // The puller kept the racing write of a `size`-byte file: its own
+  // bytes with 'L' at block 3 and the vector that write made, flagged as
+  // the conflict it is and logged once.
+  void ExpectLocalWriteKept(FileId file, uint64_t size, const VersionVector& after) {
+    std::vector<uint8_t> want(size, 'x');
+    want.resize(std::max<uint64_t>(size, 4 * kDeltaBlockSize), 0);
+    std::fill(want.begin() + 3 * kDeltaBlockSize, want.begin() + 4 * kDeltaBlockSize, 'L');
+    EXPECT_EQ(layer(1)->ReadAllData(file).value(), want);
+    auto attrs = layer(1)->GetAttributes(file);
+    ASSERT_TRUE(attrs.ok());
+    EXPECT_TRUE(attrs->vv == after);
+    EXPECT_TRUE(attrs->conflict);
+    EXPECT_EQ(log_.CountOf(ConflictKind::kFileUpdate), 1u);
+  }
+
+  // `daemon` pulls a one-block edit of a `size`-byte file while a local
+  // write lands on the puller: the install refuses, installs nothing, and
+  // the daemon's second decision flags the conflict.
+  void ExpectLocalWriteSurvivesPull(uint64_t size, PropagationDaemon& daemon) {
+    FileId file = SharedFileOneBlockBehind(size);
+    NotifyReplica2(file);
+    VersionVector after;
+    RaceALocalWrite(file, &after);
+    const uint64_t installs = layer(1)->stats().installs;
+    ASSERT_TRUE(daemon.RunOnce().ok());
+    ExpectLocalWriteKept(file, size, after);
+    EXPECT_EQ(layer(1)->stats().installs, installs);
+    EXPECT_EQ(daemon.stats().pulled_files, 0u);
+    EXPECT_EQ(daemon.stats().conflicts_flagged, 1u);
   }
 
   std::unique_ptr<PropagationDaemon> daemon1_;
@@ -250,6 +347,167 @@ TEST_F(PropagationTest, DeltaPullAssemblesOverALocalCopyOfAnotherSize) {
   EXPECT_EQ(got.value(), layer(0)->ReadAllData(file).value());
   EXPECT_EQ(daemon1_->stats().bytes_pulled, 1000u + 10u);  // just the cut tail block
   EXPECT_EQ(daemon1_->stats().whole_file_fallbacks, 0u);
+}
+
+// A local write that lands while a pull is in flight is never
+// overwritten: not on the delta path, the whole-file path, a small file's
+// path, or the reconciler's.
+TEST_F(PropagationTest, LocalWriteDuringDeltaPullBecomesAConflict) {
+  ExpectLocalWriteSurvivesPull(128 * 1024, *daemon1_);
+  EXPECT_EQ(daemon1_->stats().delta_blocks_fetched, 1u);
+  EXPECT_EQ(daemon1_->stats().whole_file_fallbacks, 0u);
+}
+
+TEST_F(PropagationTest, LocalWriteDuringWholeFilePullBecomesAConflict) {
+  PropagationConfig config;
+  config.delta_enabled = false;
+  PropagationDaemon daemon(layer(1), &resolver_, &log_, &clock_, config);
+  ExpectLocalWriteSurvivesPull(128 * 1024, daemon);
+}
+
+TEST_F(PropagationTest, LocalWriteDuringSmallFilePullBecomesAConflict) {
+  ExpectLocalWriteSurvivesPull(8 * 1024, *daemon1_);
+  EXPECT_EQ(daemon1_->stats().whole_file_fallbacks, 1u);
+}
+
+TEST_F(PropagationTest, LocalWriteDuringReconcilerPullBecomesAConflict) {
+  FileId file = SharedFileOneBlockBehind(8 * 1024);
+  VersionVector after;
+  RaceALocalWrite(file, &after);
+  Reconciler reconciler(layer(1), &resolver_, &log_, &clock_);
+  ASSERT_TRUE(reconciler.ReconcileFile(file, layer(0)).ok());
+  ExpectLocalWriteKept(file, 8 * 1024, after);
+  EXPECT_EQ(reconciler.stats().files_pulled, 0u);
+  EXPECT_EQ(reconciler.stats().files_in_conflict, 1u);
+}
+
+// The refusal comes before any write: a moved vector or moved blocks
+// leave the device exactly as it was.
+TEST_F(PropagationTest, InstallOverAMovedBaseWritesNothing) {
+  FileId file = SharedFileOneBlockBehind(128 * 1024);
+  PhysicalLayer* puller = layer(1);
+  VersionVector base_vv = puller->GetAttributes(file)->vv;
+  BlockDigestInfo base = puller->ReadBlockDigests(file).value();
+  VersionVector remote_vv = layer(0)->GetAttributes(file)->vv;
+  BlockDigestInfo remote = layer(0)->ReadBlockDigests(file).value();
+  std::vector<PhysicalLayer::FetchedRun> runs = {
+      {1, layer(0)->ReadData(file, kDeltaBlockSize, kDeltaBlockSize).value()}};
+  std::vector<uint8_t> contents = layer(0)->ReadAllData(file).value();
+
+  // A local write of the bytes already there moves the vector, not the
+  // blocks.
+  ASSERT_TRUE(
+      puller->WriteData(file, 3 * kDeltaBlockSize, std::vector<uint8_t>(kDeltaBlockSize, 'x'))
+          .ok());
+  ASSERT_TRUE(puller->ReadBlockDigests(file)->digests == base.digests);
+  uint64_t writes = stacks_[1]->device.stats().writes;
+  EXPECT_EQ(puller->InstallPulled(file, base_vv, base, remote, runs, remote_vv).code(),
+            ErrorCode::kBusy);
+  EXPECT_EQ(stacks_[1]->device.stats().writes, writes);
+
+  ASSERT_TRUE(
+      puller->WriteData(file, 3 * kDeltaBlockSize, std::vector<uint8_t>(kDeltaBlockSize, 'L'))
+          .ok());
+  VersionVector moved_vv = puller->GetAttributes(file)->vv;
+  writes = stacks_[1]->device.stats().writes;
+  EXPECT_EQ(puller->InstallPulled(file, base_vv, base, remote, runs, remote_vv).code(),
+            ErrorCode::kBusy);
+  EXPECT_EQ(puller->InstallPulled(file, base_vv, contents, remote_vv).code(), ErrorCode::kBusy);
+  // The vector is current but the blocks are not the base's.
+  EXPECT_EQ(puller->InstallPulled(file, moved_vv, base, remote, runs, remote_vv).code(),
+            ErrorCode::kBusy);
+  EXPECT_EQ(stacks_[1]->device.stats().writes, writes);
+  EXPECT_TRUE(puller->GetAttributes(file)->vv == moved_vv);
+}
+
+// The source rewrites the very block being fetched, between the digests
+// it served and the ranged read: the fetched block fails its digest, the
+// pull falls back to the whole file, and the puller's digests still
+// describe its bytes.
+TEST_F(PropagationTest, SourceWriteMidDeltaPullFallsBackToWholeFile) {
+  FileId file = SharedFileOneBlockBehind(128 * 1024);
+  NotifyReplica2(file);
+  source()->BeforeNextRead([this, file] {
+    ASSERT_TRUE(
+        layer(0)->WriteData(file, kDeltaBlockSize, std::vector<uint8_t>(kDeltaBlockSize, 'S'))
+            .ok());
+  });
+  ASSERT_TRUE(daemon1_->RunOnce().ok());
+  PropagationStats stats = daemon1_->stats();
+  EXPECT_EQ(stats.delta_blocks_fetched, 1u);
+  EXPECT_EQ(stats.whole_file_fallbacks, 1u);
+  EXPECT_EQ(stats.pulled_files, 1u);
+  EXPECT_EQ(layer(1)->ReadAllData(file).value(), layer(0)->ReadAllData(file).value());
+  auto problems = layer(1)->ValidateDigestTree();
+  ASSERT_TRUE(problems.ok());
+  EXPECT_TRUE(problems->empty()) << problems->front();
+
+  // The source's write is a version of its own; once it propagates, the
+  // replicas agree on the vector as well.
+  NotifyReplica2(file);
+  ASSERT_TRUE(daemon1_->RunOnce().ok());
+  EXPECT_TRUE(layer(1)->GetAttributes(file)->vv == layer(0)->GetAttributes(file)->vv);
+  EXPECT_EQ(layer(1)->ReadAllData(file).value(), layer(0)->ReadAllData(file).value());
+  for (int i = 0; i < 2; ++i) {
+    problems = layer(i)->ValidateDigestTree();
+    ASSERT_TRUE(problems.ok());
+    EXPECT_TRUE(problems->empty()) << problems->front();
+  }
+}
+
+// The puller hashes the one block it fetched and nothing else: its own
+// side comes from its digest cache, and the install takes the digests the
+// fetch verified.
+TEST_F(PropagationTest, OneBlockPullHashesOneBlockAtEverySize) {
+  const MetricRegistry& metrics = layer(1)->metrics();
+  for (uint64_t size : {64 * 1024, 256 * 1024, 1024 * 1024}) {
+    auto file = layer(0)->CreateChild(kRootFileId, "f" + std::to_string(size),
+                                      FicusFileType::kRegular, 0);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE(layer(0)->WriteData(*file, 0, std::vector<uint8_t>(size, 'x')).ok());
+    ReconcileAll();
+    ASSERT_TRUE(
+        layer(0)->WriteData(*file, size / 2, std::vector<uint8_t>(kDeltaBlockSize, 'y')).ok());
+    NotifyReplica2(*file);
+    const uint64_t verified = metrics.CounterValue("repl.prop.delta.blocks_verified");
+    const uint64_t hashed = metrics.CounterValue("repl.physical.digest.blocks_hashed");
+    ASSERT_TRUE(daemon1_->RunOnce().ok());
+    EXPECT_EQ(metrics.CounterValue("repl.prop.delta.blocks_verified") - verified, 1u) << size;
+    EXPECT_EQ(metrics.CounterValue("repl.physical.digest.blocks_hashed") - hashed, 0u) << size;
+    EXPECT_EQ(layer(1)->ReadAllData(*file).value(), layer(0)->ReadAllData(*file).value());
+  }
+}
+
+// Local updates that move the file under both of a pass's pulls leave
+// the entry for the next pass, without charging its retry budget.
+TEST_F(PropagationTest, TwoRacedPullsInARowWaitForTheNextPass) {
+  PropagationConfig config;
+  config.retry_budget = 1;
+  PropagationDaemon daemon(layer(1), &resolver_, &log_, &clock_, config);
+  FileId file = SharedFileOneBlockBehind(128 * 1024);
+  std::vector<uint8_t> v3 = layer(0)->ReadAllData(file).value();
+  VersionVector vv3 = layer(0)->GetAttributes(file)->vv;
+  ASSERT_TRUE(
+      layer(0)->WriteData(file, kDeltaBlockSize, std::vector<uint8_t>(kDeltaBlockSize, 'z')).ok());
+  ASSERT_TRUE(layer(0)->ReadBlockDigests(file).ok());
+  NotifyReplica2(file);
+  // Mid-fetch, another install brings the puller to v3, which the source
+  // still dominates, so the daemon pulls again; mid-fetch, a local write.
+  VersionVector after;
+  source()->BeforeNextRead([&] {
+    ASSERT_TRUE(layer(1)->InstallVersion(file, v3, vv3).ok());
+    RaceALocalWrite(file, &after);
+  });
+  ASSERT_TRUE(daemon.RunOnce().ok());
+  EXPECT_EQ(layer(1)->PendingVersionCount(), 1u);
+  EXPECT_EQ(daemon.stats().pulled_files, 0u);
+  EXPECT_EQ(daemon.stats().conflicts_flagged, 0u);
+  EXPECT_EQ(daemon.stats().retry_dropped, 0u);
+
+  ASSERT_TRUE(daemon.RunOnce().ok());
+  EXPECT_EQ(layer(1)->PendingVersionCount(), 0u);
+  EXPECT_EQ(daemon.stats().conflicts_flagged, 1u);
+  EXPECT_TRUE(layer(1)->GetAttributes(file)->vv == after);
 }
 
 TEST_F(PropagationTest, SmallFilePullSkipsDeltaMachinery) {

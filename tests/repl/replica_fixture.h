@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <set>
 
@@ -101,14 +102,22 @@ class TestNotifier : public UpdateNotifier {
   uint64_t sent_ = 0;
 };
 
+// Builds a replica's physical layer over `ufs`, counting into `metrics`
+// (may be null); a test that needs a PhysicalLayer subclass passes one.
+using LayerFactory = std::function<std::unique_ptr<PhysicalLayer>(
+    ufs::Ufs* ufs, const SimClock* clock, MetricRegistry* metrics)>;
+
 // One replica's private storage stack + physical layer. `metrics`
 // (borrowed, optional) receives the layer's registry counters.
 struct ReplicaStack {
   explicit ReplicaStack(const SimClock* clock, VolumeId volume, ReplicaId replica,
-                        bool first, MetricRegistry* metrics = nullptr)
+                        bool first, MetricRegistry* metrics = nullptr,
+                        const LayerFactory& make_layer = nullptr)
       : device(8192), cache(&device, 256), ufs(&cache, clock) {
     EXPECT_TRUE(ufs.Format(1024).ok());
-    layer = std::make_unique<PhysicalLayer>(&ufs, clock, PhysicalOptions{}, metrics);
+    layer = make_layer ? make_layer(&ufs, clock, metrics)
+                       : std::make_unique<PhysicalLayer>(&ufs, clock, PhysicalOptions{},
+                                                         metrics);
     EXPECT_TRUE(layer
                     ->CreateVolume(volume, replica, "vol_r" + std::to_string(replica), first)
                     .ok());
@@ -120,13 +129,14 @@ struct ReplicaStack {
   std::unique_ptr<PhysicalLayer> layer;
 };
 
-// Fixture with `replica_count` replicas of volume {1,1}.
+// Fixture with `replica_count` replicas of volume {1,1}, their layers
+// built by `make_layer` when given.
 class ReplicaFixture : public ::testing::Test {
  protected:
-  explicit ReplicaFixture(int replica_count = 2) {
+  explicit ReplicaFixture(int replica_count = 2, const LayerFactory& make_layer = nullptr) {
     for (int i = 0; i < replica_count; ++i) {
-      auto stack = std::make_unique<ReplicaStack>(&clock_, VolumeId{1, 1},
-                                                  static_cast<ReplicaId>(i + 1), i == 0);
+      auto stack = std::make_unique<ReplicaStack>(
+          &clock_, VolumeId{1, 1}, static_cast<ReplicaId>(i + 1), i == 0, nullptr, make_layer);
       resolver_.Add(stack->layer.get());
       notifier_.Add(stack->layer.get());
       stacks_.push_back(std::move(stack));
